@@ -7,11 +7,8 @@ extract the critical success factors from the cause group.
 """
 from ._version import __version__
 from .cfcs import (
-    CfcsTrace,
     DefuzzMode,
-    ExpertTrace,
     FuzzyAssessmentPanel,
-    FuzzyCellPanel,
     centroid,
     cfcs_cell,
     defuzzify_matrix,
@@ -20,7 +17,6 @@ from .engine import (
     CsfRule,
     DematelResult,
     DirectRelationMatrix,
-    Factor,
     FactorCatalog,
     FactorScore,
     Group,
@@ -37,50 +33,32 @@ from .fuzzy import (
     LinguisticScale,
     LinguisticTerm,
     TriangularFuzzyNumber,
-    fuzzy_add,
-    fuzzy_div,
     fuzzy_mean,
-    fuzzy_mul,
-    fuzzy_scale,
-    fuzzy_sub,
-    term_to_fuzzy,
 )
 from .io import (
-    ExpertResponses,
-    ExpectedScore,
-    Judgment,
-    CaseStudyFixture,
     SurveyDocument,
     load_case_study,
     parse_crisp_matrix,
     parse_survey,
     serialize_survey,
 )
-from .diagram import diagram_points, emit_diagram
+from .diagram import emit_diagram
 from .report import build_report, render_json, render_reproduction, run_reproduction
 
 __all__ = [
     "__version__",
-    "CfcsTrace",
     "CsfRule",
     "DEFAULT_SCALE",
     "DefuzzMode",
     "DematelResult",
     "DirectRelationMatrix",
-    "ExpertResponses",
-    "ExpertTrace",
-    "ExpectedScore",
-    "Factor",
     "FactorCatalog",
     "FactorScore",
     "FuzzyAssessmentPanel",
-    "FuzzyCellPanel",
     "Group",
-    "Judgment",
     "LinguisticScale",
     "LinguisticTerm",
     "NormalizedMatrix",
-    "CaseStudyFixture",
     "SurveyDocument",
     "TotalRelationMatrix",
     "TriangularFuzzyNumber",
@@ -90,15 +68,9 @@ __all__ = [
     "cfcs_cell",
     "compute_scores",
     "defuzzify_matrix",
-    "diagram_points",
     "emit_diagram",
     "extract_csf",
-    "fuzzy_add",
-    "fuzzy_div",
     "fuzzy_mean",
-    "fuzzy_mul",
-    "fuzzy_scale",
-    "fuzzy_sub",
     "load_case_study",
     "normalize",
     "parse_crisp_matrix",
@@ -107,6 +79,5 @@ __all__ = [
     "render_reproduction",
     "run_reproduction",
     "serialize_survey",
-    "term_to_fuzzy",
     "total_relation",
 ]

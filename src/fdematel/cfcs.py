@@ -12,29 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .engine import DirectRelationMatrix, FactorCatalog
 from .errors import EmptyPanel, MissingJudgment, RaggedPanel
 from .fuzzy import TriangularFuzzyNumber, fuzzy_mean
-
-
-@dataclass(frozen=True)
-class FuzzyCellPanel:
-    """The K expert judgments collected for a single (i, j) cell."""
-
-    samples: Tuple[TriangularFuzzyNumber, ...]
-
-    def __post_init__(self):
-        if not self.samples:
-            raise EmptyPanel("a cell panel needs at least one expert judgment")
-        object.__setattr__(self, "samples", tuple(self.samples))
-
-    @property
-    def k(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -61,25 +45,21 @@ class CfcsTrace:
     crisp: float
 
 
-PanelLike = Union[FuzzyCellPanel, Sequence[TriangularFuzzyNumber]]
-
-
-def cfcs_cell(panel: PanelLike) -> CfcsTrace:
-    """Defuzzify one cell's expert panel.
+def cfcs_cell(samples: Sequence[TriangularFuzzyNumber]) -> CfcsTrace:
+    """Defuzzify one cell's expert panel, one judgment per expert.
 
     When every expert gave the identical point value (delta = 0) the crisp
     output is that value and all intermediate fields are zero by
     convention; unanimous point judgments are valid surveys, not errors.
     """
-    if not isinstance(panel, FuzzyCellPanel):
-        panel = FuzzyCellPanel(tuple(panel))
-    samples = panel.samples
+    if not samples:
+        raise EmptyPanel("a cell panel needs at least one expert judgment")
     left = min(s.l for s in samples)
     right = max(s.r for s in samples)
     delta = right - left
     if delta == 0.0:
         zero = ExpertTrace(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return CfcsTrace(delta=0.0, experts=(zero,) * panel.k, crisp=left)
+        return CfcsTrace(delta=0.0, experts=(zero,) * len(samples), crisp=left)
     traces = []
     for s in samples:
         xl = (s.l - left) / delta
@@ -91,7 +71,7 @@ def cfcs_cell(panel: PanelLike) -> CfcsTrace:
         bnp = left + x * delta
         traces.append(ExpertTrace(xl, xm, xr, xls, xrs, x, bnp))
     # fsum keeps the mean independent of expert order
-    crisp = math.fsum(t.bnp for t in traces) / panel.k
+    crisp = math.fsum(t.bnp for t in traces) / len(samples)
     return CfcsTrace(delta=delta, experts=tuple(traces), crisp=crisp)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .cfcs import DefuzzMode, defuzzify_matrix
-from .errors import FdematelError, MalformedDocument, exit_code_table
+from .errors import FdematelError, MalformedDocument, VerificationFailed, exit_code_table
 from .io import parse_crisp_matrix, parse_survey
 from .diagram import emit_diagram
 from .report import (
@@ -19,11 +19,6 @@ from .report import (
     run_reproduction,
     scores_from_report,
 )
-
-_MODES = {
-    "per-expert": DefuzzMode.PER_EXPERT_BNP,
-    "aggregate": DefuzzMode.AGGREGATE_THEN_DEFUZZIFY,
-}
 
 
 def _epilog() -> str:
@@ -50,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--mode",
-        choices=sorted(_MODES),
+        choices=sorted(m.value for m in DefuzzMode),
         default="per-expert",
         help="defuzzification path for surveys (default: per-expert)",
     )
@@ -104,7 +99,7 @@ def _cmd_run(args) -> int:
     kind = _detect_format(args.input, args.input_format)
     if kind == "survey":
         survey = parse_survey(data)
-        direct = defuzzify_matrix(survey.to_panel(), _MODES[args.mode])
+        direct = defuzzify_matrix(survey.to_panel(), DefuzzMode(args.mode))
         mode_label = args.mode
         input_format = "survey-json"
     else:
@@ -125,6 +120,10 @@ def _cmd_run(args) -> int:
 def _cmd_reproduce(args) -> int:
     outcome = run_reproduction(cell_tol=args.tolerance)
     _emit(render_reproduction(outcome), args.output)
+    failed = [check for check, ok in outcome["better_outcome"]["passed"].items() if not ok]
+    if failed:
+        # the other treatment is printed for comparison only
+        raise VerificationFailed(f"{outcome['better']} treatment fails: {', '.join(failed)}")
     return 0
 
 
@@ -132,7 +131,7 @@ def _cmd_diagram(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
         result = scores_from_report(report)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedDocument(f"{args.report!r} is not a valid analysis report: {exc}") from None
     _emit(emit_diagram(result, args.format), args.output)
     return 0

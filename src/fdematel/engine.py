@@ -77,12 +77,6 @@ class FactorCatalog:
     def ids(self) -> Tuple[str, ...]:
         return tuple(f.id for f in self.factors)
 
-    def index(self, factor_id: str) -> int:
-        for i, f in enumerate(self.factors):
-            if f.id == factor_id:
-                return i
-        raise KeyError(factor_id)
-
 
 def _as_readonly_array(entries) -> np.ndarray:
     arr = np.array(entries, dtype=float, copy=True)
@@ -195,8 +189,10 @@ class FactorScore:
     prominence: float
     relation: float
     group: Group
-    near_neutral: bool
-    is_csf: bool
+
+    @property
+    def near_neutral(self) -> bool:
+        return abs(self.relation) < NEAR_NEUTRAL_BAND
 
 
 @dataclass(frozen=True)
@@ -210,12 +206,6 @@ class DematelResult:
             if s.id == factor_id:
                 return s
         raise KeyError(factor_id)
-
-    def cause_group(self) -> Tuple[FactorScore, ...]:
-        return tuple(s for s in self.scores if s.group is Group.CAUSE)
-
-    def effect_group(self) -> Tuple[FactorScore, ...]:
-        return tuple(s for s in self.scores if s.group is Group.EFFECT)
 
 
 def normalize(a: DirectRelationMatrix) -> NormalizedMatrix:
@@ -257,8 +247,7 @@ def compute_scores(t: TotalRelationMatrix, catalog: FactorCatalog) -> DematelRes
     """Row/column sums of T and the derived prominence/relation scores.
 
     relation > CAUSE_TIE_EPS puts a factor in the cause group; anything
-    else, including an exact zero, lands in the effect group. The default
-    CSF rule marks the whole cause group.
+    else, including an exact zero, lands in the effect group.
     """
     if t.n != catalog.n:
         raise NonSquare(f"matrix is {t.n}x{t.n} but the catalog lists {catalog.n} factors")
@@ -277,8 +266,6 @@ def compute_scores(t: TotalRelationMatrix, catalog: FactorCatalog) -> DematelRes
                 prominence=r[i] + c[i],
                 relation=relation,
                 group=group,
-                near_neutral=abs(relation) < NEAR_NEUTRAL_BAND,
-                is_csf=group is Group.CAUSE,
             )
         )
     return DematelResult(tuple(scores))
@@ -309,12 +296,8 @@ def extract_csf(
     raise ValueError(f"unknown CSF rule {rule!r}")
 
 
-def analyze(
-    direct: DirectRelationMatrix,
-    zero_diagonal: bool = False,
-) -> Tuple[NormalizedMatrix, TotalRelationMatrix, DematelResult]:
+def analyze(direct: DirectRelationMatrix) -> Tuple[NormalizedMatrix, TotalRelationMatrix, DematelResult]:
     """Run the full crisp pipeline on a direct-relation matrix."""
-    a = direct.with_zero_diagonal() if zero_diagonal else direct
-    d = normalize(a)
+    d = normalize(direct)
     t = total_relation(d)
-    return d, t, compute_scores(t, a.catalog)
+    return d, t, compute_scores(t, direct.catalog)

@@ -21,14 +21,6 @@ class InvalidScale(FdematelError):
     exit_code = 12
 
 
-class NegativeScalar(FdematelError):
-    exit_code = 13
-
-
-class DivisionByZeroComponent(FdematelError):
-    exit_code = 14
-
-
 class EmptyPanel(FdematelError):
     exit_code = 15
 
@@ -85,6 +77,12 @@ class NegativeEntry(FdematelError):
 
 class NonNumericField(FdematelError):
     exit_code = 46
+
+
+# case-study verification
+
+class VerificationFailed(FdematelError):
+    exit_code = 50
 
 
 def exit_code_table():

@@ -5,24 +5,12 @@ here can be shared freely across threads.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Tuple
 
-from .errors import (
-    DivisionByZeroComponent,
-    EmptyPanel,
-    InvalidFuzzyNumber,
-    InvalidScale,
-    NegativeScalar,
-    UnknownTerm,
-)
-
-#: Raw component triple. Subtraction/division results are returned in this
-#: form because componentwise rules can break the l <= m <= r ordering.
-Triple = Tuple[float, float, float]
+from .errors import EmptyPanel, InvalidFuzzyNumber, InvalidScale, UnknownTerm
 
 
 @dataclass(frozen=True)
@@ -40,11 +28,8 @@ class TriangularFuzzyNumber:
         if not (self.l <= self.m <= self.r):
             raise InvalidFuzzyNumber(f"components must satisfy l <= m <= r, got ({self.l}, {self.m}, {self.r})")
 
-    def as_tuple(self) -> Triple:
+    def as_tuple(self) -> Tuple[float, float, float]:
         return (self.l, self.m, self.r)
-
-
-TFN = TriangularFuzzyNumber
 
 
 class LinguisticTerm(Enum):
@@ -131,14 +116,6 @@ class LinguisticScale:
             entries.append((term, TriangularFuzzyNumber(*triple)))
         return cls(tuple(entries))
 
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "LinguisticScale":
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidScale(f"scale file is not valid JSON: {exc}") from None
-        return cls.from_mapping(spec)
-
     def terms(self) -> Tuple[LinguisticTerm, ...]:
         return tuple(t for t, _ in self.entries)
 
@@ -147,13 +124,6 @@ class LinguisticScale:
             if t is term:
                 return tfn
         raise UnknownTerm(f"term {term.value!r} is absent from this scale")
-
-    def term_for(self, tfn: TriangularFuzzyNumber) -> LinguisticTerm:
-        """Inverse lookup by exact component match."""
-        for t, candidate in self.entries:
-            if candidate.as_tuple() == tfn.as_tuple():
-                return t
-        raise UnknownTerm(f"no term maps to {tfn.as_tuple()} in this scale")
 
     def to_mapping(self) -> dict:
         return {
@@ -165,39 +135,6 @@ class LinguisticScale:
 
 
 DEFAULT_SCALE = LinguisticScale.default()
-
-
-def term_to_fuzzy(term: LinguisticTerm, scale: LinguisticScale = DEFAULT_SCALE) -> TriangularFuzzyNumber:
-    """Look up the fuzzy triple a scale assigns to a verbal judgment."""
-    return scale.triple_for(term)
-
-
-def fuzzy_add(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
-    return TriangularFuzzyNumber(a.l + b.l, a.m + b.m, a.r + b.r)
-
-
-def fuzzy_scale(lam: float, a: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
-    # negative factors would reverse the component order
-    if lam < 0:
-        raise NegativeScalar(f"scale factor must be non-negative, got {lam}")
-    return TriangularFuzzyNumber(lam * a.l, lam * a.m, lam * a.r)
-
-
-def fuzzy_sub(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> Triple:
-    """Componentwise difference; may violate l <= m <= r, hence a raw triple."""
-    return (a.l - b.l, a.m - b.m, a.r - b.r)
-
-
-def fuzzy_mul(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> Triple:
-    """Componentwise product; may violate l <= m <= r, hence a raw triple."""
-    return (a.l * b.l, a.m * b.m, a.r * b.r)
-
-
-def fuzzy_div(a: TriangularFuzzyNumber, b: TriangularFuzzyNumber) -> Triple:
-    """Componentwise quotient; may violate l <= m <= r, hence a raw triple."""
-    if b.l == 0 or b.m == 0 or b.r == 0:
-        raise DivisionByZeroComponent(f"divisor {b.as_tuple()} has a zero component")
-    return (a.l / b.l, a.m / b.m, a.r / b.r)
 
 
 def fuzzy_mean(samples: Iterable[TriangularFuzzyNumber]) -> TriangularFuzzyNumber:

@@ -109,6 +109,7 @@ def parse_survey(data: TextSource) -> SurveyDocument:
     _require(isinstance(doc, dict), "survey document must be a JSON object")
     _require(isinstance(doc.get("factors"), list), 'survey document needs a "factors" list')
     _require(isinstance(doc.get("experts"), list), 'survey document needs an "experts" list')
+    _require(len(doc["experts"]) > 0, "a survey needs at least one expert")
 
     pairs = []
     for item in doc["factors"]:
@@ -156,6 +157,8 @@ def parse_survey(data: TextSource) -> SurveyDocument:
                 f"judgment {j!r} of expert {expert_id!r} must carry from, to, term",
             )
             src, dst = j["from"], j["to"]
+            if not (isinstance(src, str) and isinstance(dst, str)):
+                raise MalformedDocument(f"judgment {j!r} of expert {expert_id!r} must name factors by string id")
             for fid in (src, dst):
                 if fid not in known:
                     raise UnknownFactor(f"expert {expert_id!r} references unknown factor {fid!r}")
@@ -276,7 +279,6 @@ class CaseStudyFixture:
         relation sign), usable anywhere a computed result is."""
         scores = []
         for e in self.expected_scores:
-            group = Group.CAUSE if e.relation > 0 else Group.EFFECT
             scores.append(
                 FactorScore(
                     id=e.id,
@@ -285,9 +287,7 @@ class CaseStudyFixture:
                     c=e.c,
                     prominence=e.prominence,
                     relation=e.relation,
-                    group=group,
-                    near_neutral=abs(e.relation) < 0.05,
-                    is_csf=group is Group.CAUSE,
+                    group=Group.CAUSE if e.relation > 0 else Group.EFFECT,
                 )
             )
         return DematelResult(tuple(scores))

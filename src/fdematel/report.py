@@ -18,7 +18,6 @@ from .engine import (
     CsfRule,
     DematelResult,
     DirectRelationMatrix,
-    FactorCatalog,
     FactorScore,
     Group,
     analyze,
@@ -56,7 +55,7 @@ def render_json(obj) -> str:
     return json.dumps(canonical_numbers(obj), indent=2)
 
 
-def _score_record(s: FactorScore) -> dict:
+def _score_record(s: FactorScore, csf: set) -> dict:
     return {
         "id": s.id,
         "name": s.name,
@@ -66,7 +65,7 @@ def _score_record(s: FactorScore) -> dict:
         "relation": s.relation,
         "group": s.group.value,
         "near_neutral": s.near_neutral,
-        "is_csf": s.is_csf,
+        "is_csf": s.id in csf,
     }
 
 
@@ -86,6 +85,8 @@ def build_report(
     """
     a = direct.with_zero_diagonal() if zero_diagonal else direct
     d, t, result = analyze(a)
+    csf = list(extract_csf(result))
+    csf_ids = set(csf)
     if generated_at is None:
         generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return {
@@ -106,15 +107,22 @@ def build_report(
             "normalized": d.entries.tolist(),
             "total": t.entries.tolist(),
         },
-        "scores": [_score_record(s) for s in result.scores],
-        "csf": list(extract_csf(result)),
+        "scores": [_score_record(s, csf_ids) for s in result.scores],
+        "csf": csf,
     }
 
 
 def scores_from_report(report: dict) -> DematelResult:
-    """Rebuild a DematelResult from a report's score records."""
+    """Rebuild a DematelResult from a report's score records.
+
+    Raises KeyError, TypeError or ValueError when the report is malformed.
+    """
+    if not report["scores"]:
+        raise ValueError("the report lists no scores")
     scores = []
     for rec in report["scores"]:
+        if not (isinstance(rec["id"], str) and isinstance(rec["name"], str)):
+            raise TypeError(f"score record {rec!r} needs a string id and name")
         scores.append(
             FactorScore(
                 id=rec["id"],
@@ -124,15 +132,9 @@ def scores_from_report(report: dict) -> DematelResult:
                 prominence=float(rec["prominence"]),
                 relation=float(rec["relation"]),
                 group=Group(rec["group"]),
-                near_neutral=bool(rec["near_neutral"]),
-                is_csf=bool(rec["is_csf"]),
             )
         )
     return DematelResult(tuple(scores))
-
-
-def catalog_from_report(report: dict) -> FactorCatalog:
-    return FactorCatalog.from_pairs([(f["id"], f["name"]) for f in report["factors"]])
 
 
 def _verify_treatment(fixture: CaseStudyFixture, zero_diagonal: bool, cell_tol: float) -> dict:
@@ -160,13 +162,14 @@ def _verify_treatment(fixture: CaseStudyFixture, zero_diagonal: bool, cell_tol: 
     by_relation = max(result.scores, key=lambda s: s.relation).id
     by_relation_min = min(result.scores, key=lambda s: s.relation).id
     by_prominence = max(result.scores, key=lambda s: s.prominence).id
+    cells_over = int((dev > cell_tol).sum())
     return {
         "zero_diagonal": zero_diagonal,
         "scale_factor": d.scale_factor,
         "max_row_id": ids[int(np.argmax([sum(row) for row in a.entries]))],
         "total_max_dev": float(dev.max()),
         "total_worst_cell": (ids[worst[0]], ids[worst[1]]),
-        "total_cells_over": int((dev > cell_tol).sum()),
+        "total_cells_over": cells_over,
         "cell_tol": cell_tol,
         "r_dev": r_dev,
         "c_dev": c_dev,
@@ -180,6 +183,16 @@ def _verify_treatment(fixture: CaseStudyFixture, zero_diagonal: bool, cell_tol: 
         "argmin_relation": by_relation_min,
         "argmax_prominence": by_prominence,
         "scores": result.scores,
+        # verdict per check, in printed order
+        "passed": {
+            "total-relation": cells_over == 0,
+            "R/C scores": r_dev <= SCORE_RC_TOL and c_dev <= SCORE_RC_TOL,
+            "R+C/R-C scores": prom_dev <= SCORE_PROM_REL_TOL and rel_dev <= SCORE_PROM_REL_TOL,
+            "relation signs": not sign_mismatches,
+            "near-neutral flags": not unflagged_neutral,
+            "cause group": cause_ids == printed_cause,
+            "ordering": (by_relation, by_relation_min, by_prominence) == ("X16", "X21", "X16"),
+        },
     }
 
 
@@ -203,44 +216,38 @@ def _passfail(ok: bool) -> str:
 
 
 def _render_treatment(out: dict, printed: dict, lines: list) -> None:
+    ok = out["passed"]
     lines.append(f"scale factor s = {out['scale_factor']:.6f} (max row sum, row {out['max_row_id']})")
     wi, wj = out["total_worst_cell"]
     lines.append(
         f"total-relation matrix vs printed table: max |dev| = {out['total_max_dev']:.6f} "
         f"at ({wi},{wj}); cells over {out['cell_tol']:g}: {out['total_cells_over']} "
-        f"-> {_passfail(out['total_cells_over'] == 0)}"
+        f"-> {_passfail(ok['total-relation'])}"
     )
     lines.append(
         f"scores vs printed table: max |R dev| = {out['r_dev']:.6f}, max |C dev| = {out['c_dev']:.6f} "
-        f"(tol {SCORE_RC_TOL:g}) -> {_passfail(out['r_dev'] <= SCORE_RC_TOL and out['c_dev'] <= SCORE_RC_TOL)}"
+        f"(tol {SCORE_RC_TOL:g}) -> {_passfail(ok['R/C scores'])}"
     )
     lines.append(
         f"                         max |R+C dev| = {out['prom_dev']:.6f}, max |R-C dev| = {out['rel_dev']:.6f} "
-        f"(tol {SCORE_PROM_REL_TOL:g}) -> "
-        f"{_passfail(out['prom_dev'] <= SCORE_PROM_REL_TOL and out['rel_dev'] <= SCORE_PROM_REL_TOL)}"
+        f"(tol {SCORE_PROM_REL_TOL:g}) -> {_passfail(ok['R+C/R-C scores'])}"
     )
     lines.append(
         f"relation signs (printed |R-C| >= {SIGN_CHECK_MIN:g}): "
-        f"{len(out['sign_mismatches'])} mismatches -> {_passfail(not out['sign_mismatches'])}"
+        f"{len(out['sign_mismatches'])} mismatches -> {_passfail(ok['relation signs'])}"
     )
     lines.append(
         f"near-neutral flags on rounding-band factors: "
         f"{'all set' if not out['unflagged_neutral'] else 'missing ' + ','.join(out['unflagged_neutral'])} "
-        f"-> {_passfail(not out['unflagged_neutral'])}"
+        f"-> {_passfail(ok['near-neutral flags'])}"
     )
-    census_ok = out["cause_ids"] == out["printed_cause"]
     lines.append(
         f"cause group: {len(out['cause_ids'])} factors, printed positive: {len(out['printed_cause'])} "
-        f"-> {_passfail(census_ok)}"
-    )
-    ordering_ok = (
-        out["argmax_relation"] == "X16"
-        and out["argmin_relation"] == "X21"
-        and out["argmax_prominence"] == "X16"
+        f"-> {_passfail(ok['cause group'])}"
     )
     lines.append(
         f"ordering: max relation {out['argmax_relation']}, min relation {out['argmin_relation']}, "
-        f"max prominence {out['argmax_prominence']} -> {_passfail(ordering_ok)}"
+        f"max prominence {out['argmax_prominence']} -> {_passfail(ok['ordering'])}"
     )
     lines.append("")
     header = (

@@ -7,15 +7,18 @@ terms. The tolerance is kept as stated and the depth follows from it.
 """
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdematel
 from fdematel import (
     DirectRelationMatrix,
     FactorCatalog,
@@ -235,10 +238,14 @@ def test_criterion_7_equivariance_suite():
 
 
 def run_cli(*args):
+    # the child imports the same fdematel as this process, installed or not
+    src = str(Path(fdematel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "fdematel", *args],
         capture_output=True,
         check=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

@@ -6,7 +6,6 @@ from fdematel import (
     DefuzzMode,
     FactorCatalog,
     FuzzyAssessmentPanel,
-    FuzzyCellPanel,
     TriangularFuzzyNumber,
     centroid,
     cfcs_cell,
@@ -54,7 +53,7 @@ def test_degenerate_point_panel():
 
 def test_empty_panel_rejected():
     with pytest.raises(EmptyPanel):
-        FuzzyCellPanel(())
+        cfcs_cell(())
     with pytest.raises(EmptyPanel):
         cfcs_cell([])
 

@@ -252,7 +252,6 @@ def test_csf_top_k_rule_on_fixture(study):
 
 
 def make_score(fid, relation, prominence=1.0):
-    group = Group.CAUSE if relation > 1e-9 else Group.EFFECT
     return FactorScore(
         id=fid,
         name=fid,
@@ -260,9 +259,7 @@ def make_score(fid, relation, prominence=1.0):
         c=(prominence - relation) / 2,
         prominence=prominence,
         relation=relation,
-        group=group,
-        near_neutral=abs(relation) < 0.05,
-        is_csf=group is Group.CAUSE,
+        group=Group.CAUSE if relation > 1e-9 else Group.EFFECT,
     )
 
 

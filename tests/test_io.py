@@ -130,6 +130,16 @@ def test_malformed_documents_rejected():
         parse_survey(json.dumps(bad_scale))
     with pytest.raises(MalformedDocument):
         parse_survey(b"\xff\xfe\x00bad")
+    list_endpoint = survey_dict()
+    list_endpoint["experts"][0]["judgments"][0]["from"] = ["F1"]
+    with pytest.raises(MalformedDocument):
+        parse_survey(json.dumps(list_endpoint))
+    numeric_endpoint = survey_dict()
+    numeric_endpoint["experts"][0]["judgments"][0]["to"] = 2
+    with pytest.raises(MalformedDocument):
+        parse_survey(json.dumps(numeric_endpoint))
+    with pytest.raises(MalformedDocument, match="at least one expert"):
+        parse_survey(json.dumps(survey_dict(experts=0)))
 
 
 def test_survey_round_trip():

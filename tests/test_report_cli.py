@@ -9,6 +9,7 @@ import pytest
 from fdematel import (
     DematelResult,
     DirectRelationMatrix,
+    FactorCatalog,
     FactorScore,
     Group,
     analyze,
@@ -17,8 +18,8 @@ from fdematel import (
     render_json,
 )
 from fdematel.cli import main
-from fdematel.errors import MalformedDocument, NegativeEntry, SingularSystem
-from fdematel.report import catalog_from_report, render_reproduction, run_reproduction, scores_from_report
+from fdematel.errors import MalformedDocument, NegativeEntry, SingularSystem, VerificationFailed
+from fdematel.report import render_reproduction, run_reproduction, scores_from_report
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ def test_report_scores_in_catalog_order(fixture_report, study_module):
 
 def test_report_is_self_contained(fixture_report):
     rendered = json.loads(render_json(fixture_report))
-    catalog = catalog_from_report(rendered)
+    catalog = FactorCatalog.from_pairs([(f["id"], f["name"]) for f in rendered["factors"]])
     embedded = DirectRelationMatrix(np.array(rendered["matrices"]["direct"]), catalog)
     _, t, result = analyze(embedded)
     assert np.abs(t.entries - np.array(rendered["matrices"]["total"])).max() < 1e-9
@@ -153,8 +154,6 @@ def test_svg_single_point_degenerate():
                 prominence=1.5,
                 relation=0.5,
                 group=Group.CAUSE,
-                near_neutral=False,
-                is_csf=True,
             ),
         )
     )
@@ -259,10 +258,12 @@ def test_cli_reproduce_reports_pass(capsys):
 
 
 def test_cli_reproduce_zero_tolerance_fails_cells(capsys):
-    assert main(["reproduce", "--tolerance", "0.0"]) == 0
-    out = capsys.readouterr().out
-    assert "cells over 0:" in out
-    assert "FAIL" in out
+    assert main(["reproduce", "--tolerance", "0.0"]) == VerificationFailed.exit_code
+    captured = capsys.readouterr()
+    assert "cells over 0:" in captured.out
+    assert "FAIL" in captured.out.split("[diagonal zeroed]")[0]
+    assert "better diagonal treatment: verbatim" in captured.out  # full text still written
+    assert "VerificationFailed" in captured.err
 
 
 def test_reproduction_text_is_pure():
@@ -292,11 +293,27 @@ def test_cli_diagram_from_report(tmp_path, capsys):
         assert p["y"] == by_id[p["id"]]["relation"]
 
 
-def test_cli_diagram_rejects_non_report(tmp_path, capsys):
+def test_cli_diagram_rejects_non_report(tmp_path, capsys, fixture_report):
+    good = json.loads(render_json(fixture_report))
+
+    def with_first_score(**fields):
+        bad = json.loads(json.dumps(good))
+        bad["scores"][0].update(fields)
+        return json.dumps(bad)
+
     path = tmp_path / "junk.json"
-    path.write_text('{"hello": 1}')
-    code = main(["diagram", str(path)])
-    assert code == MalformedDocument.exit_code
+    for text in (
+        '{"hello": 1}',
+        "{ not json",
+        with_first_score(r="x"),
+        with_first_score(group="Bogus"),
+        with_first_score(id=5),
+        json.dumps(dict(good, scores=[])),
+    ):
+        path.write_text(text)
+        for fmt in ("json", "svg", "dot"):
+            code = main(["diagram", str(path), "--format", fmt])
+            assert code == MalformedDocument.exit_code, (text[:60], fmt)
     capsys.readouterr()
 
 
