@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .engine import DirectRelationMatrix, FactorCatalog
-from .errors import EmptyPanel, MissingJudgment, RaggedPanel
+from .errors import EmptyPanel, MissingJudgment, RaggedPanel, UnknownTerm
 from .fuzzy import TriangularFuzzyNumber, fuzzy_mean
 
 
@@ -96,21 +96,27 @@ class DefuzzMode(Enum):
     AGGREGATE_THEN_DEFUZZIFY = "aggregate"
 
 
-#: grids[k][i][j]: expert k's judgment of factor i on factor j, or None
-#: where no judgment exists (the diagonal).
-Grid = Tuple[Tuple[Optional[TriangularFuzzyNumber], ...], ...]
+#: Term code of a cell that holds no judgment (the diagonal).
+NO_JUDGMENT = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzyAssessmentPanel:
-    """K experts' full N x N fuzzy judgment grids over a factor catalog."""
+    """K experts' full N x N fuzzy judgments over a factor catalog.
+
+    terms[k, i, j] is expert k's judgment of factor i on factor j, as an
+    index into triples; a negative code (NO_JUDGMENT) marks a cell without
+    one. Distinct fuzzy numbers are stored once, so a cell's judgments are
+    a few small integers.
+    """
 
     catalog: FactorCatalog
-    grids: Tuple[Grid, ...]
+    triples: Tuple[TriangularFuzzyNumber, ...]
+    terms: np.ndarray
 
     @property
     def k(self) -> int:
-        return len(self.grids)
+        return len(self.terms)
 
     @property
     def n(self) -> int:
@@ -124,34 +130,44 @@ def defuzzify_matrix(
     """Collapse a fuzzy assessment panel into a crisp direct-relation matrix.
 
     Every off-diagonal cell must carry a judgment from every expert;
-    diagonal cells are forced to 0 after defuzzification regardless of any
-    samples present.
+    diagonal cells are 0 regardless of any judgments present.
+
+    cfcs_cell runs once per distinct multiset of expert judgments, not once
+    per cell: its result does not depend on expert order (min, max and an
+    exact fsum), so cells whose sorted term codes agree get the same bits.
     """
     if panel.k < 1:
         raise EmptyPanel("assessment panel has no experts")
     n = panel.n
-    for k, grid in enumerate(panel.grids):
-        if len(grid) != n or any(len(row) != n for row in grid):
-            shape = f"{len(grid)}x{max((len(r) for r in grid), default=0)}"
-            raise RaggedPanel(f"expert #{k + 1} grid is {shape}, expected {n}x{n}")
-    ids = panel.catalog.ids
+    terms = np.asarray(panel.terms)
+    if terms.shape != (panel.k, n, n) or not np.issubdtype(terms.dtype, np.integer):
+        raise RaggedPanel(
+            f"term tensor is {terms.dtype} of shape {terms.shape}, expected integer codes of shape "
+            f"({panel.k}, {n}, {n})"
+        )
+    off = ~np.eye(n, dtype=bool)
+    cells = terms[:, off].T  # one row per off-diagonal cell, one column per expert
+    missing = cells < 0
+    if missing.any():
+        cell, k = np.argwhere(missing)[0]
+        i, j = np.argwhere(off)[cell]
+        ids = panel.catalog.ids
+        raise MissingJudgment(f"expert #{k + 1} gave no judgment for ({ids[i]}, {ids[j]})")
+    triples = panel.triples
+    if cells.max() >= len(triples):
+        raise UnknownTerm(f"term code {cells.max()} is past the panel's {len(triples)} fuzzy numbers")
+    # each cell's sorted codes as one raw-bytes key: np.unique over those is
+    # about ten times faster than np.unique(axis=0), whose keys are records
+    rows = np.ascontiguousarray(np.sort(cells, axis=1))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * panel.k))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    multisets = [[triples[c] for c in row] for row in rows[first].tolist()]
+    if mode is DefuzzMode.PER_EXPERT_BNP:
+        crisp = [cfcs_cell(samples).crisp for samples in multisets]
+    elif mode is DefuzzMode.AGGREGATE_THEN_DEFUZZIFY:
+        crisp = [cfcs_cell([fuzzy_mean(samples)]).crisp for samples in multisets]
+    else:
+        raise ValueError(f"unknown defuzzification mode {mode!r}")
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            cell = []
-            for k, grid in enumerate(panel.grids):
-                sample = grid[i][j]
-                if sample is None:
-                    raise MissingJudgment(
-                        f"expert #{k + 1} gave no judgment for ({ids[i]}, {ids[j]})"
-                    )
-                cell.append(sample)
-            if mode is DefuzzMode.PER_EXPERT_BNP:
-                out[i, j] = cfcs_cell(cell).crisp
-            elif mode is DefuzzMode.AGGREGATE_THEN_DEFUZZIFY:
-                out[i, j] = cfcs_cell([fuzzy_mean(cell)]).crisp
-            else:
-                raise ValueError(f"unknown defuzzification mode {mode!r}")
+    out[off] = np.asarray(crisp)[inverse.reshape(-1)]
     return DirectRelationMatrix(out, panel.catalog)

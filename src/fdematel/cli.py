@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +20,13 @@ from .report import (
     run_reproduction,
     scores_from_report,
 )
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _epilog() -> str:
@@ -59,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="verify the embedded 29-factor case study")
     rep.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=TOTAL_CELL_TOL,
         help=f"per-cell tolerance for the total-relation comparison (default {TOTAL_CELL_TOL})",
     )
@@ -131,7 +139,7 @@ def _cmd_diagram(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
         result = scores_from_report(report)
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedDocument(f"{args.report!r} is not a valid analysis report: {exc}") from None
     _emit(emit_diagram(result, args.format), args.output)
     return 0

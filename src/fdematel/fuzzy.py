@@ -111,7 +111,7 @@ class LinguisticScale:
             term = LinguisticTerm.from_label(item["label"])
             try:
                 triple = (float(item["l"]), float(item["m"]), float(item["r"]))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InvalidScale(f"non-numeric component in scale entry for {item['label']!r}") from None
             entries.append((term, TriangularFuzzyNumber(*triple)))
         return cls(tuple(entries))

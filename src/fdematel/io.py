@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from io import StringIO
@@ -14,7 +16,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .cfcs import FuzzyAssessmentPanel
+from .cfcs import NO_JUDGMENT, FuzzyAssessmentPanel
 from .engine import DematelResult, DirectRelationMatrix, FactorCatalog, FactorScore, Group
 from .errors import (
     DuplicateJudgment,
@@ -50,48 +52,109 @@ class Judgment:
     term: LinguisticTerm
 
 
+class JudgmentView(Sequence):
+    """One expert's judgments, row-major in catalog order, read-only.
+
+    A view over the expert's (N, N) slice of the term-code tensor:
+    Judgment objects are made only when an item is read.
+    """
+
+    def __init__(self, ids: Tuple[str, ...], terms: Tuple[LinguisticTerm, ...], codes: np.ndarray):
+        self._ids = ids
+        self._terms = terms
+        self._codes = codes
+
+    def __len__(self) -> int:
+        n = len(self._ids)
+        return n * (n - 1)
+
+    def __getitem__(self, index: int) -> Judgment:
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("judgment index out of range")
+        i, j = divmod(index, len(self._ids) - 1)
+        j += j >= i  # skip the diagonal
+        return Judgment(self._ids[i], self._ids[j], self._terms[self._codes[i, j]])
+
+    def __iter__(self):
+        ids, terms = self._ids, self._terms
+        for i, row in enumerate(self._codes.tolist()):
+            for j, code in enumerate(row):
+                if i != j:
+                    yield Judgment(ids[i], ids[j], terms[code])
+
+    def __eq__(self, other):
+        if not isinstance(other, JudgmentView):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class ExpertResponses:
     expert_id: str
-    judgments: Tuple[Judgment, ...]
+    judgments: JudgmentView
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveyDocument:
     """A parsed, fully validated expert survey.
 
-    Judgments are stored row-major in catalog order, so two documents with
-    the same content compare equal regardless of input ordering.
+    terms[k, i, j] is expert k's judgment of factor i on factor j, as an
+    index into the effective scale's terms; the diagonal holds NO_JUDGMENT.
+    The tensor is in catalog order, so two documents with the same content
+    compare equal regardless of input ordering.
     """
 
     catalog: FactorCatalog
     scale: Optional[LinguisticScale]
-    experts: Tuple[ExpertResponses, ...]
+    expert_ids: Tuple[str, ...]
+    terms: np.ndarray
 
     @property
     def k(self) -> int:
-        return len(self.experts)
+        return len(self.expert_ids)
+
+    @property
+    def experts(self) -> Tuple[ExpertResponses, ...]:
+        ids, terms = self.catalog.ids, self.effective_scale().terms()
+        return tuple(
+            ExpertResponses(expert_id, JudgmentView(ids, terms, codes))
+            for expert_id, codes in zip(self.expert_ids, self.terms)
+        )
 
     def effective_scale(self) -> LinguisticScale:
         return self.scale if self.scale is not None else DEFAULT_SCALE
 
     def to_panel(self) -> FuzzyAssessmentPanel:
-        """Materialize the judgment grids as fuzzy numbers."""
-        scale = self.effective_scale()
-        n = self.catalog.n
-        index = {fid: i for i, fid in enumerate(self.catalog.ids)}
-        grids = []
-        for expert in self.experts:
-            grid = [[None] * n for _ in range(n)]
-            for j in expert.judgments:
-                grid[index[j.from_id]][index[j.to_id]] = scale.triple_for(j.term)
-            grids.append(tuple(tuple(row) for row in grid))
-        return FuzzyAssessmentPanel(catalog=self.catalog, grids=tuple(grids))
+        """The judgments as a fuzzy panel; it shares this document's tensor."""
+        triples = tuple(tfn for _, tfn in self.effective_scale().entries)
+        return FuzzyAssessmentPanel(catalog=self.catalog, triples=triples, terms=self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, SurveyDocument):
+            return NotImplemented
+        return (self.catalog, self.scale, self.expert_ids) == (
+            other.catalog,
+            other.scale,
+            other.expert_ids,
+        ) and np.array_equal(self.terms, other.terms)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise MalformedDocument(message)
+#: The byte of NO_JUDGMENT in the int8 tensor's buffer.
+_NO_JUDGMENT_BYTE = NO_JUDGMENT & 0xFF
+
+
+def _term_code(label, codes: dict, expert_id: str) -> int:
+    """Code of a label not yet in codes (another spelling, or not a term
+    at all); a spelling that resolves is added to codes."""
+    term = LinguisticTerm.from_label(label)
+    code = codes.get(term.value)
+    if code is None:
+        raise UnknownTerm(f"expert {expert_id!r} uses term {label!r} which the scale does not define")
+    codes[label] = code
+    return code
 
 
 def parse_survey(data: TextSource) -> SurveyDocument:
@@ -104,25 +167,30 @@ def parse_survey(data: TextSource) -> SurveyDocument:
     text = _decode(data, "survey document")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedDocument(f"survey document is not valid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "survey document must be a JSON object")
-    _require(isinstance(doc.get("factors"), list), 'survey document needs a "factors" list')
-    _require(isinstance(doc.get("experts"), list), 'survey document needs an "experts" list')
-    _require(len(doc["experts"]) > 0, "a survey needs at least one expert")
+    if not isinstance(doc, dict):
+        raise MalformedDocument("survey document must be a JSON object")
+    if not isinstance(doc.get("factors"), list):
+        raise MalformedDocument('survey document needs a "factors" list')
+    if not isinstance(doc.get("experts"), list):
+        raise MalformedDocument('survey document needs an "experts" list')
+    if not doc["experts"]:
+        raise MalformedDocument("a survey needs at least one expert")
 
     pairs = []
     for item in doc["factors"]:
-        _require(
-            isinstance(item, dict) and isinstance(item.get("id"), str),
-            f"factor entry {item!r} must be an object with a string id",
-        )
+        if not (isinstance(item, dict) and isinstance(item.get("id"), str)):
+            raise MalformedDocument(f"factor entry {item!r} must be an object with a string id")
         name = item.get("name", item["id"])
-        _require(isinstance(name, str), f"factor {item['id']!r} has a non-string name")
+        if not isinstance(name, str):
+            raise MalformedDocument(f"factor {item['id']!r} has a non-string name")
         pairs.append((item["id"], name))
-    _require(len(pairs) >= 2, "a survey needs at least two factors")
+    if len(pairs) < 2:
+        raise MalformedDocument("a survey needs at least two factors")
     ids = [p[0] for p in pairs]
-    _require(len(set(ids)) == len(ids), f"duplicate factor ids: {sorted({i for i in ids if ids.count(i) > 1})}")
+    if len(set(ids)) != len(ids):
+        raise MalformedDocument(f"duplicate factor ids: {sorted({i for i in ids if ids.count(i) > 1})}")
     catalog = FactorCatalog.from_pairs(pairs)
 
     scale = None
@@ -132,64 +200,65 @@ def parse_survey(data: TextSource) -> SurveyDocument:
         except (InvalidScale, InvalidFuzzyNumber) as exc:
             raise MalformedDocument(f"invalid custom scale: {exc}") from None
     effective = scale if scale is not None else DEFAULT_SCALE
-    known = set(catalog.ids)
-    scale_terms = set(effective.terms())
+    # label -> term code, seeded with the scale's own labels
+    codes = {term.value: code for code, term in enumerate(effective.terms())}
 
-    experts = []
+    n = catalog.n
+    expected = n * (n - 1)
+    index = {fid: i for i, fid in enumerate(ids)}
+    # the (K, N, N) int8 tensor, filled in place; unset cells keep NO_JUDGMENT
+    tensor = bytearray([_NO_JUDGMENT_BYTE]) * (len(doc["experts"]) * n * n)
+    expert_ids = []
     seen_experts = set()
-    for entry in doc["experts"]:
-        _require(
-            isinstance(entry, dict) and isinstance(entry.get("id"), str),
-            f"expert entry {entry!r} must be an object with a string id",
-        )
+    for k, entry in enumerate(doc["experts"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)):
+            raise MalformedDocument(f"expert entry {entry!r} must be an object with a string id")
         expert_id = entry["id"]
-        _require(expert_id not in seen_experts, f"duplicate expert id {expert_id!r}")
+        if expert_id in seen_experts:
+            raise MalformedDocument(f"duplicate expert id {expert_id!r}")
         seen_experts.add(expert_id)
-        _require(
-            isinstance(entry.get("judgments"), list),
-            f"expert {expert_id!r} needs a judgments list",
-        )
-        seen_pairs = {}
-        judgments = []
+        if not isinstance(entry.get("judgments"), list):
+            raise MalformedDocument(f"expert {expert_id!r} needs a judgments list")
+        base = k * n * n
         for j in entry["judgments"]:
-            _require(
-                isinstance(j, dict) and {"from", "to", "term"} <= set(j),
-                f"judgment {j!r} of expert {expert_id!r} must carry from, to, term",
-            )
+            if not (isinstance(j, dict) and "from" in j and "to" in j and "term" in j):
+                raise MalformedDocument(f"judgment {j!r} of expert {expert_id!r} must carry from, to, term")
             src, dst = j["from"], j["to"]
             if not (isinstance(src, str) and isinstance(dst, str)):
                 raise MalformedDocument(f"judgment {j!r} of expert {expert_id!r} must name factors by string id")
-            for fid in (src, dst):
-                if fid not in known:
-                    raise UnknownFactor(f"expert {expert_id!r} references unknown factor {fid!r}")
-            if src == dst:
+            row = index.get(src)
+            if row is None:
+                raise UnknownFactor(f"expert {expert_id!r} references unknown factor {src!r}")
+            col = index.get(dst)
+            if col is None:
+                raise UnknownFactor(f"expert {expert_id!r} references unknown factor {dst!r}")
+            if row == col:
                 raise SelfJudgment(f"expert {expert_id!r} judges {src!r} against itself")
-            if (src, dst) in seen_pairs:
+            cell = base + row * n + col
+            if tensor[cell] != _NO_JUDGMENT_BYTE:
                 raise DuplicateJudgment(f"expert {expert_id!r} rates ({src!r} -> {dst!r}) more than once")
-            term = LinguisticTerm.from_label(j["term"])
-            if term not in scale_terms:
-                raise UnknownTerm(
-                    f"expert {expert_id!r} uses term {j['term']!r} which the scale does not define"
-                )
-            seen_pairs[(src, dst)] = term
-            judgments.append(Judgment(src, dst, term))
-        expected = catalog.n * (catalog.n - 1)
-        if len(judgments) != expected:
+            label = j["term"]
+            try:
+                code = codes[label]
+            except (KeyError, TypeError):  # another spelling, or not a string
+                code = _term_code(label, codes, expert_id)
+            tensor[cell] = code
+        covered = len(entry["judgments"])
+        if covered != expected:
             missing = next(
                 (s, t)
-                for s in catalog.ids
-                for t in catalog.ids
-                if s != t and (s, t) not in seen_pairs
+                for s in range(n)
+                for t in range(n)
+                if s != t and tensor[base + s * n + t] == _NO_JUDGMENT_BYTE
             )
             raise MissingJudgment(
-                f"expert {expert_id!r} covers {len(judgments)} of {expected} pairs; "
-                f"first missing: ({missing[0]} -> {missing[1]})"
+                f"expert {expert_id!r} covers {covered} of {expected} pairs; "
+                f"first missing: ({ids[missing[0]]} -> {ids[missing[1]]})"
             )
-        order = {fid: i for i, fid in enumerate(catalog.ids)}
-        judgments.sort(key=lambda jd: (order[jd.from_id], order[jd.to_id]))
-        experts.append(ExpertResponses(expert_id, tuple(judgments)))
+        expert_ids.append(expert_id)
 
-    return SurveyDocument(catalog=catalog, scale=scale, experts=tuple(experts))
+    terms = np.frombuffer(bytes(tensor), dtype=np.int8).reshape(len(expert_ids), n, n)
+    return SurveyDocument(catalog=catalog, scale=scale, expert_ids=tuple(expert_ids), terms=terms)
 
 
 def serialize_survey(doc: SurveyDocument) -> str:

@@ -115,7 +115,8 @@ def build_report(
 def scores_from_report(report: dict) -> DematelResult:
     """Rebuild a DematelResult from a report's score records.
 
-    Raises KeyError, TypeError or ValueError when the report is malformed.
+    Raises KeyError, TypeError, ValueError or OverflowError when the report
+    is malformed, non-finite scores included.
     """
     if not report["scores"]:
         raise ValueError("the report lists no scores")
@@ -123,17 +124,10 @@ def scores_from_report(report: dict) -> DematelResult:
     for rec in report["scores"]:
         if not (isinstance(rec["id"], str) and isinstance(rec["name"], str)):
             raise TypeError(f"score record {rec!r} needs a string id and name")
-        scores.append(
-            FactorScore(
-                id=rec["id"],
-                name=rec["name"],
-                r=float(rec["r"]),
-                c=float(rec["c"]),
-                prominence=float(rec["prominence"]),
-                relation=float(rec["relation"]),
-                group=Group(rec["group"]),
-            )
-        )
+        values = {key: float(rec[key]) for key in ("r", "c", "prominence", "relation")}
+        if not all(map(math.isfinite, values.values())):
+            raise ValueError(f"score record {rec['id']!r} has a non-finite score: {values}")
+        scores.append(FactorScore(id=rec["id"], name=rec["name"], group=Group(rec["group"]), **values))
     return DematelResult(tuple(scores))
 
 

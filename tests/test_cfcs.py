@@ -10,8 +10,10 @@ from fdematel import (
     centroid,
     cfcs_cell,
     defuzzify_matrix,
+    fuzzy_mean,
 )
-from fdematel.errors import EmptyPanel, MissingJudgment, RaggedPanel
+from fdematel.cfcs import NO_JUDGMENT
+from fdematel.errors import EmptyPanel, MissingJudgment, RaggedPanel, UnknownTerm
 
 from cfcs_oracle import cfcs_steps
 from conftest import random_panel, random_tfn
@@ -140,15 +142,94 @@ def two_factor_catalog():
     return FactorCatalog.from_ids(["F1", "F2"])
 
 
-def grid(cells):
-    return tuple(tuple(row) for row in cells)
+def codes(*experts):
+    """Term-code tensor from per-expert nested lists; None is NO_JUDGMENT."""
+    return np.array(
+        [[[NO_JUDGMENT if c is None else c for c in row] for row in grid] for grid in experts],
+        dtype=np.int8,
+    )
+
+
+def reference_defuzzify(triples, terms, mode):
+    """Per-cell loop over the scalar cfcs_cell: the reference that
+    defuzzify_matrix must match byte for byte."""
+    k, n, _ = terms.shape
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            cell = [triples[terms[e, i, j]] for e in range(k)]
+            if mode is DefuzzMode.PER_EXPERT_BNP:
+                out[i, j] = cfcs_cell(cell).crisp
+            else:
+                out[i, j] = cfcs_cell([fuzzy_mean(cell)]).crisp
+    return out
+
+
+def random_palette(rng):
+    """Distinct triples, some of them points (delta = 0 when a cell's
+    experts all pick the same point)."""
+    palette = []
+    while len(palette) < int(rng.integers(1, 9)):
+        tfn = random_tfn(rng, lo=0.0, hi=3.0)
+        if rng.random() < 0.2:
+            tfn = T(tfn.m, tfn.m, tfn.m)
+        if tfn not in palette:
+            palette.append(tfn)
+    return tuple(palette)
+
+
+def random_terms(rng, palette_size, k, n):
+    terms = rng.integers(0, palette_size, size=(k, n, n)).astype(np.int8)
+    idx = np.arange(n)
+    terms[:, idx, idx] = NO_JUDGMENT
+    return terms
+
+
+def test_defuzzify_matrix_is_bit_identical_to_the_per_cell_loop():
+    rng = np.random.default_rng(137)
+    for trial in range(60):
+        triples = random_palette(rng)
+        k = 1 if trial % 6 == 0 else int(rng.integers(1, 13))
+        n = int(rng.integers(2, 8))
+        terms = random_terms(rng, len(triples), k, n)
+        catalog = FactorCatalog.from_ids([f"F{i}" for i in range(n)])
+        shuffled = terms[rng.permutation(k)]
+        for mode in DefuzzMode:
+            want = reference_defuzzify(triples, terms, mode).tobytes()
+            got = defuzzify_matrix(FuzzyAssessmentPanel(catalog, triples, terms), mode)
+            assert got.entries.tobytes() == want
+            permuted = defuzzify_matrix(FuzzyAssessmentPanel(catalog, triples, shuffled), mode)
+            assert permuted.entries.tobytes() == want
+
+
+def test_defuzzify_matrix_matches_the_oracle():
+    rng = np.random.default_rng(139)
+    for _ in range(20):
+        triples = random_palette(rng)
+        k, n = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+        terms = random_terms(rng, len(triples), k, n)
+        catalog = FactorCatalog.from_ids([f"F{i}" for i in range(n)])
+        panel = FuzzyAssessmentPanel(catalog, triples, terms)
+        per_expert = defuzzify_matrix(panel, DefuzzMode.PER_EXPERT_BNP).entries
+        aggregate = defuzzify_matrix(panel, DefuzzMode.AGGREGATE_THEN_DEFUZZIFY).entries
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                cell = [triples[c].as_tuple() for c in terms[:, i, j]]
+                mean = tuple(sum(s[c] for s in cell) / k for c in range(3))
+                assert per_expert[i, j] == pytest.approx(cfcs_steps(cell)["crisp"], abs=1e-12)
+                assert aggregate[i, j] == pytest.approx(cfcs_steps([mean])["crisp"], abs=1e-12)
 
 
 def test_defuzzify_single_expert_matrix():
     medium = T(0.25, 0.5, 0.75)
     panel = FuzzyAssessmentPanel(
         catalog=two_factor_catalog(),
-        grids=(grid([[None, medium], [medium, None]]),),
+        triples=(medium,),
+        terms=codes([[None, 0], [0, None]]),
     )
     for mode in DefuzzMode:
         direct = defuzzify_matrix(panel, mode)
@@ -158,10 +239,8 @@ def test_defuzzify_single_expert_matrix():
 def test_defuzzify_two_expert_matrix():
     panel = FuzzyAssessmentPanel(
         catalog=two_factor_catalog(),
-        grids=(
-            grid([[None, T(0, 0.25, 0.5)], [T(0.4, 0.4, 0.4), None]]),
-            grid([[None, T(0.5, 0.75, 1)], [T(0.4, 0.4, 0.4), None]]),
-        ),
+        triples=(T(0, 0.25, 0.5), T(0.4, 0.4, 0.4), T(0.5, 0.75, 1)),
+        terms=codes([[None, 0], [1, None]], [[None, 2], [1, None]]),
     )
     direct = defuzzify_matrix(panel, DefuzzMode.PER_EXPERT_BNP)
     assert direct.entries == pytest.approx(np.array([[0, 0.5], [0.4, 0]]), abs=1e-9)
@@ -175,10 +254,8 @@ def test_aggregate_mode_defuzzifies_the_mean_triple():
     a, b = random_tfn(rng), random_tfn(rng)
     panel = FuzzyAssessmentPanel(
         catalog=two_factor_catalog(),
-        grids=(
-            grid([[None, a], [a, None]]),
-            grid([[None, b], [b, None]]),
-        ),
+        triples=(a, b),
+        terms=codes([[None, 0], [0, None]], [[None, 1], [1, None]]),
     )
     direct = defuzzify_matrix(panel, DefuzzMode.AGGREGATE_THEN_DEFUZZIFY)
     mean = tuple((x + y) / 2 for x, y in zip(a.as_tuple(), b.as_tuple()))
@@ -188,10 +265,8 @@ def test_aggregate_mode_defuzzifies_the_mean_triple():
 def test_missing_judgment_is_located():
     panel = FuzzyAssessmentPanel(
         catalog=two_factor_catalog(),
-        grids=(
-            grid([[None, T(0, 0.25, 0.5)], [T(0.4, 0.4, 0.4), None]]),
-            grid([[None, T(0.5, 0.75, 1)], [None, None]]),
-        ),
+        triples=(T(0, 0.25, 0.5), T(0.4, 0.4, 0.4), T(0.5, 0.75, 1)),
+        terms=codes([[None, 0], [1, None]], [[None, 2], [None, None]]),
     )
     with pytest.raises(MissingJudgment, match=r"expert #2.*F2.*F1"):
         defuzzify_matrix(panel)
@@ -200,14 +275,29 @@ def test_missing_judgment_is_located():
 def test_ragged_grid_rejected():
     panel = FuzzyAssessmentPanel(
         catalog=two_factor_catalog(),
-        grids=(grid([[None, T(0, 0.25, 0.5)]]),),
+        triples=(T(0, 0.25, 0.5),),
+        terms=codes([[None, 0]]),
     )
     with pytest.raises(RaggedPanel):
         defuzzify_matrix(panel)
 
 
+def test_term_code_past_the_triples_rejected():
+    panel = FuzzyAssessmentPanel(
+        catalog=two_factor_catalog(),
+        triples=(T(0, 0.25, 0.5),),
+        terms=codes([[None, 0], [1, None]]),
+    )
+    with pytest.raises(UnknownTerm):
+        defuzzify_matrix(panel)
+
+
 def test_panel_without_experts_rejected():
-    panel = FuzzyAssessmentPanel(catalog=two_factor_catalog(), grids=())
+    panel = FuzzyAssessmentPanel(
+        catalog=two_factor_catalog(),
+        triples=(T(0, 0.25, 0.5),),
+        terms=np.zeros((0, 2, 2), dtype=np.int8),
+    )
     with pytest.raises(EmptyPanel):
         defuzzify_matrix(panel)
 
@@ -217,7 +307,8 @@ def test_diagonal_samples_are_ignored():
     strong = T(0.75, 1, 1)
     panel = FuzzyAssessmentPanel(
         catalog=two_factor_catalog(),
-        grids=(grid([[strong, medium], [medium, strong]]),),
+        triples=(medium, strong),
+        terms=codes([[1, 0], [0, 1]]),
     )
     direct = defuzzify_matrix(panel)
     assert direct.entries[0, 0] == 0.0

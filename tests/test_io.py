@@ -140,6 +140,14 @@ def test_malformed_documents_rejected():
         parse_survey(json.dumps(numeric_endpoint))
     with pytest.raises(MalformedDocument, match="at least one expert"):
         parse_survey(json.dumps(survey_dict(experts=0)))
+    # JSON the decoder rejects with other exceptions than JSONDecodeError
+    with pytest.raises(MalformedDocument):
+        parse_survey("[" * 100_000)
+    with pytest.raises(MalformedDocument):
+        parse_survey('{"factors": [' + "1" * 5000 + "]}")
+    huge = survey_dict(scale={"terms": [{"label": "no effect", "l": 10**400, "m": 1, "r": 2}]})
+    with pytest.raises(MalformedDocument):
+        parse_survey(json.dumps(huge))
 
 
 def test_survey_round_trip():
@@ -162,6 +170,27 @@ def test_round_trip_canonicalizes_judgment_order():
     for expert in doc.experts:
         pairs = [(j.from_id, j.to_id) for j in expert.judgments]
         assert pairs == sorted(pairs, key=lambda p: (int(p[0][1:]), int(p[1][1:])))
+
+
+def test_judgment_view_indexes_like_its_iteration():
+    raw = survey_dict(n=4, experts=2)
+    rng = np.random.default_rng(47)
+    for expert in raw["experts"]:
+        for j in expert["judgments"]:
+            j["term"] = TERM_LABELS[int(rng.integers(0, 5))]
+    doc = parse_survey(json.dumps(raw))
+    assert doc.terms.shape == (2, 4, 4) and doc.terms.dtype == np.int8
+    assert (np.diagonal(doc.terms, axis1=1, axis2=2) == -1).all()
+    for expert, given in zip(doc.experts, raw["experts"]):
+        view = expert.judgments
+        listed = list(view)
+        assert len(view) == len(listed) == 12
+        assert [view[i] for i in range(len(view))] == listed
+        assert view[-1] == listed[-1]
+        with pytest.raises(IndexError):
+            view[12]
+        want = {(j["from"], j["to"]): LinguisticTerm.from_label(j["term"]) for j in given["judgments"]}
+        assert {(j.from_id, j.to_id): j.term for j in listed} == want
 
 
 def test_round_trip_keeps_custom_scale():

@@ -308,6 +308,11 @@ def test_cli_diagram_rejects_non_report(tmp_path, capsys, fixture_report):
         with_first_score(r="x"),
         with_first_score(group="Bogus"),
         with_first_score(id=5),
+        with_first_score(relation="nan"),
+        with_first_score(prominence="inf"),
+        with_first_score(r=float("-inf")),
+        with_first_score(c=float("nan")),
+        with_first_score(r=10**400),
         json.dumps(dict(good, scores=[])),
     ):
         path.write_text(text)
@@ -315,6 +320,14 @@ def test_cli_diagram_rejects_non_report(tmp_path, capsys, fixture_report):
             code = main(["diagram", str(path), "--format", fmt])
             assert code == MalformedDocument.exit_code, (text[:60], fmt)
     capsys.readouterr()
+
+
+def test_cli_reproduce_rejects_non_finite_or_negative_tolerance(capsys):
+    for value in ("nan", "inf", "-inf", "-0.01", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--tolerance", value])
+        assert exc.value.code == 2, value
+        assert "--tolerance" in capsys.readouterr().err
 
 
 def test_cli_output_flag_writes_file(tmp_path, capsys):
