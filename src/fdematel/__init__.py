@@ -14,7 +14,6 @@ from .cfcs import (
     defuzzify_matrix,
 )
 from .engine import (
-    CsfRule,
     DematelResult,
     DirectRelationMatrix,
     FactorCatalog,
@@ -47,7 +46,6 @@ from .report import build_report, render_json, render_reproduction, run_reproduc
 
 __all__ = [
     "__version__",
-    "CsfRule",
     "DEFAULT_SCALE",
     "DefuzzMode",
     "DematelResult",

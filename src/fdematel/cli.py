@@ -139,7 +139,7 @@ def _cmd_diagram(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
         result = scores_from_report(report)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedDocument(f"{args.report!r} is not a valid analysis report: {exc}") from None
     _emit(emit_diagram(result, args.format), args.output)
     return 0

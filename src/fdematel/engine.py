@@ -4,22 +4,19 @@ Pipeline: direct-relation matrix A -> normalized matrix D (divide by the
 maximum row sum) -> total-relation matrix T = D(I - D)^-1 -> per-factor
 influence scores -> cause/effect groups and critical success factors.
 
-T is obtained by solving (I - D)^T X^T = D^T against an LU factorization
-with partial pivoting, never by forming the inverse explicitly.
+T is obtained by solving (I - D)^T X^T = D^T with LAPACK gesv (LU with
+partial pivoting), never by forming the inverse explicitly.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import (
-    KExceedsCauseGroup,
     NegativeEntry,
     NonNumericField,
     NonSquare,
@@ -27,10 +24,15 @@ from .errors import (
     ZeroMatrix,
 )
 
-#: An LU pivot below this magnitude marks (I - D) as singular. This happens
-#: when all row sums of A are equal, which drives the spectral radius of D
-#: to exactly 1.
-SINGULAR_PIVOT_TOL = 1e-12
+#: A total-relation matrix whose largest absolute row sum exceeds this marks
+#: (I - D) as numerically singular. Since (I - D)^-1 = I + T exactly and
+#: ||I - D||_inf <= 2 for a max-row-sum-normalized D, ||T||_inf gives the
+#: condition number kappa_inf(I - D) to within a factor of about 2, read
+#: off the solve's own output. An LU solve loses about kappa * u of relative
+#: accuracy (Higham, Accuracy and Stability of Numerical Algorithms, ch. 9),
+#: so at this limit about 6 significant digits of T are still correct. Equal
+#: row sums of A drive the spectral radius of D to 1 and land past it.
+SINGULAR_NORM_LIMIT = 1e10
 
 #: Classification threshold: a factor is a net cause only when its relation
 #: score exceeds this, so exact zeros land in the effect group.
@@ -173,13 +175,6 @@ class Group(Enum):
     EFFECT = "Effect"
 
 
-class CsfRule(Enum):
-    """How to extract critical success factors from a scored result."""
-
-    CAUSE_GROUP = "cause-group"
-    TOP_K_BY_PROMINENCE_WITHIN_CAUSE = "top-k-prominence"
-
-
 @dataclass(frozen=True)
 class FactorScore:
     id: str
@@ -221,25 +216,23 @@ def normalize(a: DirectRelationMatrix) -> NormalizedMatrix:
 
 
 def total_relation(d: NormalizedMatrix) -> TotalRelationMatrix:
-    """Solve T = D(I - D)^-1 via an LU factorization of (I - D)^T.
+    """Solve T = D(I - D)^-1 as (I - D)^T T^T = D^T.
 
-    Raises SingularSystem when a pivot magnitude falls below
-    SINGULAR_PIVOT_TOL, the operational signal that the spectral radius of
-    D has reached 1.
+    Raises SingularSystem when LAPACK meets an exactly zero pivot or when
+    ||T||_inf exceeds SINGULAR_NORM_LIMIT (NaN included): either way
+    I - D is too close to singular for T to be trusted.
     """
-    n = d.n
-    system = np.eye(n) - d.entries
-    with warnings.catch_warnings():
-        # scipy warns on exactly-zero pivots; we detect them ourselves below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(system.T)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < SINGULAR_PIVOT_TOL:
+    system = np.eye(d.n) - d.entries
+    try:
+        t = np.linalg.solve(system.T, d.entries.T).T
+        singular = not np.abs(t).sum(axis=1).max() <= SINGULAR_NORM_LIMIT
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        singular = True
+    if singular:
         raise SingularSystem(
-            "I - D is numerically singular (spectral radius of D reached 1; "
-            "this happens when all row sums of the direct-relation matrix are equal)"
+            f"I - D is numerically singular (||T||_inf over {SINGULAR_NORM_LIMIT:g}: the spectral "
+            "radius of D is 1 within rounding; equal row sums of the direct-relation matrix do this)"
         )
-    t = lu_solve((lu, piv), d.entries.T).T
     return TotalRelationMatrix(t)
 
 
@@ -271,29 +264,13 @@ def compute_scores(t: TotalRelationMatrix, catalog: FactorCatalog) -> DematelRes
     return DematelResult(tuple(scores))
 
 
-def extract_csf(
-    result: DematelResult,
-    rule: CsfRule = CsfRule.CAUSE_GROUP,
-    k: Optional[int] = None,
-) -> Tuple[str, ...]:
-    """Ordered ids of the critical success factors.
-
-    CAUSE_GROUP returns every cause-group factor, strongest relation first.
-    TOP_K_BY_PROMINENCE_WITHIN_CAUSE returns the k cause-group factors of
-    largest prominence. Ties keep catalog order (sorted() is stable and the
-    scores arrive in catalog order).
+def extract_csf(result: DematelResult) -> Tuple[str, ...]:
+    """Ordered ids of the critical success factors: every cause-group
+    factor, strongest relation first. Ties keep catalog order (sorted() is
+    stable and the scores arrive in catalog order).
     """
     cause = [s for s in result.scores if s.group is Group.CAUSE]
-    if rule is CsfRule.CAUSE_GROUP:
-        return tuple(s.id for s in sorted(cause, key=lambda s: -s.relation))
-    if rule is CsfRule.TOP_K_BY_PROMINENCE_WITHIN_CAUSE:
-        if k is None:
-            raise ValueError("the top-k rule requires k")
-        if k > len(cause):
-            raise KExceedsCauseGroup(f"k={k} exceeds the cause-group size {len(cause)}")
-        ranked = sorted(cause, key=lambda s: -s.prominence)
-        return tuple(s.id for s in ranked[:k])
-    raise ValueError(f"unknown CSF rule {rule!r}")
+    return tuple(s.id for s in sorted(cause, key=lambda s: -s.relation))
 
 
 def analyze(direct: DirectRelationMatrix) -> Tuple[NormalizedMatrix, TotalRelationMatrix, DematelResult]:

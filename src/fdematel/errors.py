@@ -45,10 +45,6 @@ class SingularSystem(FdematelError):
     exit_code = 31
 
 
-class KExceedsCauseGroup(FdematelError):
-    exit_code = 32
-
-
 # document parsing
 
 class MalformedDocument(FdematelError):

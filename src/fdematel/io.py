@@ -287,7 +287,10 @@ def parse_crisp_matrix(data: TextSource) -> DirectRelationMatrix:
     "<fi>,v1,...,vN" in header order; decimal point, UTF-8.
     """
     text = _decode(data, "matrix document")
-    rows = [row for row in csv.reader(StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(StringIO(text)) if row]
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise MalformedDocument(f"matrix document is not valid CSV: {exc}") from None
     if not rows:
         raise MalformedDocument("matrix document is empty")
     header = rows[0]
@@ -366,17 +369,10 @@ def _data_text(name: str) -> str:
     return resources.files("fdematel").joinpath("data", name).read_text(encoding="utf-8")
 
 
-def _read_square_csv(name: str):
-    rows = list(csv.reader(StringIO(_data_text(name))))
-    ids = rows[0][1:]
-    matrix = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    return ids, matrix
-
-
 def load_case_study() -> CaseStudyFixture:
     """Load the embedded direct-relation, total-relation and score tables."""
-    ids5, direct = _read_square_csv("table5.csv")
-    ids6, total = _read_square_csv("table6.csv")
+    direct = parse_crisp_matrix(_data_text("table5.csv"))
+    total = parse_crisp_matrix(_data_text("table6.csv"))
     scores = []
     for row in csv.DictReader(StringIO(_data_text("table7.csv"))):
         scores.append(
@@ -389,11 +385,11 @@ def load_case_study() -> CaseStudyFixture:
                 relation=float(row["relation"]),
             )
         )
-    assert ids5 == ids6 == [s.id for s in scores], "fixture tables disagree on factor order"
+    ids = tuple(s.id for s in scores)
+    assert direct.catalog.ids == total.catalog.ids == ids, "fixture tables disagree on factor order"
     catalog = FactorCatalog.from_pairs([(s.id, s.name) for s in scores])
-    total.setflags(write=False)
     return CaseStudyFixture(
-        direct=DirectRelationMatrix(direct, catalog),
-        expected_total=total,
+        direct=DirectRelationMatrix(direct.entries, catalog),
+        expected_total=total.entries,
         expected_scores=tuple(scores),
     )

@@ -15,7 +15,6 @@ import numpy as np
 
 from ._version import __version__
 from .engine import (
-    CsfRule,
     DematelResult,
     DirectRelationMatrix,
     FactorScore,
@@ -98,7 +97,7 @@ def build_report(
             "defuzzification_mode": defuzz_mode,
             "zero_diagonal": zero_diagonal,
             "scale_factor": d.scale_factor,
-            "csf_rule": CsfRule.CAUSE_GROUP.value,
+            "csf_rule": "cause-group",
             "generated_at": generated_at,
         },
         "factors": [{"id": f.id, "name": f.name} for f in a.catalog.factors],

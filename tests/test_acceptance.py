@@ -237,16 +237,26 @@ def test_criterion_7_equivariance_suite():
     report("criterion 7 (translation/scaling 1e-9, expert permutation exact, factor permutation): PASS")
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child imports the same fdematel as this process, installed or not
     src = str(Path(fdematel.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "fdematel", *args],
+        [sys.executable, *args],
         capture_output=True,
         check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "fdematel", *args)
+
+
+def test_import_loads_no_scipy():
+    # numpy's LAPACK makes the one solve; scipy is not a dependency
+    code = "import sys, fdematel, fdematel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_python("-c", code).stdout.decode().strip() == "[]"
 
 
 def test_criterion_8_determinism(tmp_path):

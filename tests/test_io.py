@@ -266,6 +266,8 @@ def test_parse_crisp_matrix_errors():
         parse_crisp_matrix("")
     with pytest.raises(MalformedDocument):
         parse_crisp_matrix("id,X1\nX1,0\n")
+    with pytest.raises(MalformedDocument):  # past the csv module's field size limit
+        parse_crisp_matrix("id,X1,X2\nX1,0," + "1" * 200_000 + "\nX2,1,0\n")
 
 
 def test_crisp_matrix_round_trip_grammar():

@@ -229,6 +229,16 @@ def test_cli_uniform_survey_hits_singular_system(tmp_path, capsys):
     assert "SingularSystem" in captured.err
 
 
+def test_cli_near_singular_matrix_hits_singular_system(tmp_path, capsys):
+    # unequal row sums and no zero pivot, but kappa(I - D) is about 4e11
+    path = tmp_path / "near.csv"
+    path.write_text("id,A,B,C\nA,0,1,0\nB,0.99999999999,0,0\nC,0.3,0.3,0\n")
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == SingularSystem.exit_code
+    assert "SingularSystem" in captured.err
+
+
 def test_cli_negative_entry_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("id,X1,X2\nX1,0,-1\nX2,1,0\n")
@@ -314,6 +324,7 @@ def test_cli_diagram_rejects_non_report(tmp_path, capsys, fixture_report):
         with_first_score(c=float("nan")),
         with_first_score(r=10**400),
         json.dumps(dict(good, scores=[])),
+        "[" * 100_000 + "]" * 100_000,
     ):
         path.write_text(text)
         for fmt in ("json", "svg", "dot"):
