@@ -9,7 +9,6 @@ from ._version import __version__
 from .cfcs import (
     DefuzzMode,
     FuzzyAssessmentPanel,
-    centroid,
     cfcs_cell,
     defuzzify_matrix,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "TriangularFuzzyNumber",
     "analyze",
     "build_report",
-    "centroid",
     "cfcs_cell",
     "compute_scores",
     "defuzzify_matrix",

@@ -75,15 +75,6 @@ def cfcs_cell(samples: Sequence[TriangularFuzzyNumber]) -> CfcsTrace:
     return CfcsTrace(delta=delta, experts=tuple(traces), crisp=crisp)
 
 
-def centroid(a: TriangularFuzzyNumber) -> float:
-    """Centroid defuzzification, (l + m + r) / 3.
-
-    Kept as the baseline CFCS is measured against: distinct fuzzy numbers
-    with equal component sums collapse to the same centroid.
-    """
-    return (a.l + a.m + a.r) / 3.0
-
-
 class DefuzzMode(Enum):
     """Panel-to-matrix strategies.
 

@@ -5,10 +5,12 @@ zero line separates the cause group (above) from the effect group (below).
 """
 from __future__ import annotations
 
-import json
+import math
+import re
+from typing import Tuple
 
 from .engine import DematelResult, Group
-from .report import canonical_numbers
+from .report import render_json
 
 SVG_WIDTH = 880
 SVG_HEIGHT = 600
@@ -32,7 +34,7 @@ def emit_diagram(result: DematelResult, fmt: str = "json") -> str:
     """Render the cause-effect scatter in the requested format."""
     kind = fmt.strip().lower()
     if kind == "json":
-        return json.dumps(canonical_numbers(diagram_points(result)), indent=2)
+        return render_json(diagram_points(result))
     if kind == "svg":
         return _svg(result)
     if kind == "dot":
@@ -46,13 +48,28 @@ def _axis_range(values, always_include_zero=False):
         lo, hi = min(lo, 0.0), max(hi, 0.0)
     span = hi - lo
     pad = 0.05 * span if span > 0 else 1.0
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    # the plot divides by hi - lo and puts a tick at (lo + hi) / 2; past
+    # 2**53 the unit pad of a zero span rounds away, and hi - lo is 0
+    if not (0 < hi - lo < math.inf and math.isfinite(lo + hi)):
+        raise ValueError(f"scores from {min(values)} to {max(values)} give the plot no finite, nonzero axis range")
+    return lo, hi
+
+
+def plot_ranges(result: DematelResult) -> Tuple[float, float, float, float]:
+    """The SVG plot's padded axis ranges, (x_lo, x_hi, y_lo, y_hi).
+
+    Raises ValueError when the scores are too large for the ranges to have
+    a finite, nonzero width.
+    """
+    x_lo, x_hi = _axis_range([s.prominence for s in result.scores])
+    y_lo, y_hi = _axis_range([s.relation for s in result.scores], always_include_zero=True)
+    return x_lo, x_hi, y_lo, y_hi
 
 
 def _svg(result: DematelResult) -> str:
     points = diagram_points(result)
-    x_lo, x_hi = _axis_range([p["x"] for p in points])
-    y_lo, y_hi = _axis_range([p["y"] for p in points], always_include_zero=True)
+    x_lo, x_hi, y_lo, y_hi = plot_ranges(result)
     plot_w = SVG_WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = SVG_HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -113,8 +130,19 @@ def _svg(result: DematelResult) -> str:
     return "\n".join(out) + "\n"
 
 
+#: Characters XML 1.0 forbids in a document, escaped or not.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """SVG text content; a character XML cannot carry becomes U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _XML_FORBIDDEN.sub("\ufffd", text)
+
+
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string, with backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _dot(result: DematelResult) -> str:
@@ -125,9 +153,10 @@ def _dot(result: DematelResult) -> str:
     out.append('  node [shape=point, width=0.1];')
     for p in diagram_points(result):
         color = CAUSE_COLOR if p["group"] == Group.CAUSE.value else EFFECT_COLOR
+        node = _dot_quote(p["id"])
         out.append(
-            f'  "{p["id"]}" [pos="{p["x"]:.6f},{p["y"]:.6f}!", xlabel="{p["id"]}", '
-            f'color="{color}", tooltip="{p["name"]}"];'
+            f'  {node} [pos="{p["x"]:.6f},{p["y"]:.6f}!", xlabel={node}, '
+            f'color="{color}", tooltip={_dot_quote(p["name"])}];'
         )
     out.append("}")
     return "\n".join(out) + "\n"

@@ -80,10 +80,25 @@ class FactorCatalog:
         return tuple(f.id for f in self.factors)
 
 
-def _as_readonly_array(entries) -> np.ndarray:
+def _square_readonly(entries, what: str) -> np.ndarray:
+    """A read-only float copy of entries; raises NonSquare unless it is a square matrix."""
     arr = np.array(entries, dtype=float, copy=True)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise NonSquare(f"{what} matrix must be square, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def exact_sums(entries: np.ndarray, axis: int) -> Tuple[float, ...]:
+    """Correctly rounded sums of a 2-D array: row sums for axis=1 and
+    column sums for axis=0, as with np.sum.
+
+    math.fsum makes each sum independent of the order of its terms, so the
+    sums, their maximum and r - c are exactly equivariant under factor
+    reordering.
+    """
+    lines = entries.T if axis == 0 else entries
+    return tuple(math.fsum(line) for line in lines)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +109,7 @@ class DirectRelationMatrix:
     catalog: FactorCatalog
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NonSquare(f"direct-relation matrix must be square, got shape {arr.shape}")
+        arr = _square_readonly(self.entries, "direct-relation")
         if arr.shape[0] != self.catalog.n:
             raise NonSquare(
                 f"matrix is {arr.shape[0]}x{arr.shape[1]} but the catalog lists {self.catalog.n} factors"
@@ -120,10 +133,6 @@ class DirectRelationMatrix:
         np.fill_diagonal(arr, 0.0)
         return DirectRelationMatrix(arr, self.catalog)
 
-    def row_sums(self) -> Tuple[float, ...]:
-        # exact sums, so the maximum is stable under factor reordering
-        return tuple(math.fsum(row) for row in self.entries)
-
 
 @dataclass(frozen=True, eq=False)
 class NormalizedMatrix:
@@ -133,10 +142,9 @@ class NormalizedMatrix:
     scale_factor: float = 1.0
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NonSquare(f"normalized matrix must be square, got shape {arr.shape}")
-        if np.any(arr < 0) or np.any(arr > 1.0 + 1e-12):
+        arr = _square_readonly(self.entries, "normalized")
+        # written so that NaN fails too
+        if not (np.all(arr >= 0) and np.all(arr <= 1.0 + 1e-12)):
             raise ValueError("normalized entries must lie in [0, 1]")
         object.__setattr__(self, "entries", arr)
 
@@ -152,9 +160,7 @@ class TotalRelationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_readonly_array(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NonSquare(f"total-relation matrix must be square, got shape {arr.shape}")
+        arr = _square_readonly(self.entries, "total-relation")
         if not np.all(np.isfinite(arr)):
             raise NonNumericField("total-relation matrix contains non-finite entries")
         object.__setattr__(self, "entries", arr)
@@ -162,12 +168,6 @@ class TotalRelationMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def row_sums(self) -> Tuple[float, ...]:
-        return tuple(math.fsum(row) for row in self.entries)
-
-    def col_sums(self) -> Tuple[float, ...]:
-        return tuple(math.fsum(col) for col in self.entries.T)
 
 
 class Group(Enum):
@@ -208,8 +208,7 @@ def normalize(a: DirectRelationMatrix) -> NormalizedMatrix:
 
     Raises ZeroMatrix when every entry is zero (the divisor would vanish).
     """
-    sums = a.row_sums()
-    s = max(sums)
+    s = max(exact_sums(a.entries, axis=1))
     if s <= 0.0:
         raise ZeroMatrix("cannot normalize an all-zero direct-relation matrix")
     return NormalizedMatrix(a.entries / s, scale_factor=s)
@@ -244,8 +243,8 @@ def compute_scores(t: TotalRelationMatrix, catalog: FactorCatalog) -> DematelRes
     """
     if t.n != catalog.n:
         raise NonSquare(f"matrix is {t.n}x{t.n} but the catalog lists {catalog.n} factors")
-    r = t.row_sums()
-    c = t.col_sums()
+    r = exact_sums(t.entries, axis=1)
+    c = exact_sums(t.entries, axis=0)
     scores = []
     for i, factor in enumerate(catalog.factors):
         relation = r[i] - c[i]

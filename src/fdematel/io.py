@@ -326,43 +326,17 @@ def parse_crisp_matrix(data: TextSource) -> DirectRelationMatrix:
     return DirectRelationMatrix(entries, FactorCatalog.from_ids(ids))
 
 
-@dataclass(frozen=True)
-class ExpectedScore:
-    """Printed per-factor scores from the case study's score table."""
-
-    id: str
-    name: str
-    r: float
-    c: float
-    prominence: float
-    relation: float
-
-
 @dataclass(frozen=True, eq=False)
 class CaseStudyFixture:
-    """The embedded 29-factor case study: inputs and expected outputs."""
+    """The embedded 29-factor case study: inputs and expected outputs.
+
+    expected holds the printed score table, grouped by printed relation
+    sign, so it can stand anywhere a computed result can.
+    """
 
     direct: DirectRelationMatrix
     expected_total: np.ndarray
-    expected_scores: Tuple[ExpectedScore, ...]
-
-    def expected_result(self) -> DematelResult:
-        """The printed scores assembled as a DematelResult (group by printed
-        relation sign), usable anywhere a computed result is."""
-        scores = []
-        for e in self.expected_scores:
-            scores.append(
-                FactorScore(
-                    id=e.id,
-                    name=e.name,
-                    r=e.r,
-                    c=e.c,
-                    prominence=e.prominence,
-                    relation=e.relation,
-                    group=Group.CAUSE if e.relation > 0 else Group.EFFECT,
-                )
-            )
-        return DematelResult(tuple(scores))
+    expected: DematelResult
 
 
 def _data_text(name: str) -> str:
@@ -375,21 +349,14 @@ def load_case_study() -> CaseStudyFixture:
     total = parse_crisp_matrix(_data_text("table6.csv"))
     scores = []
     for row in csv.DictReader(StringIO(_data_text("table7.csv"))):
-        scores.append(
-            ExpectedScore(
-                id=row["id"],
-                name=row["name"],
-                r=float(row["r"]),
-                c=float(row["c"]),
-                prominence=float(row["prominence"]),
-                relation=float(row["relation"]),
-            )
-        )
+        values = {key: float(row[key]) for key in ("r", "c", "prominence", "relation")}
+        group = Group.CAUSE if values["relation"] > 0 else Group.EFFECT
+        scores.append(FactorScore(id=row["id"], name=row["name"], group=group, **values))
     ids = tuple(s.id for s in scores)
     assert direct.catalog.ids == total.catalog.ids == ids, "fixture tables disagree on factor order"
     catalog = FactorCatalog.from_pairs([(s.id, s.name) for s in scores])
     return CaseStudyFixture(
         direct=DirectRelationMatrix(direct.entries, catalog),
         expected_total=total.entries,
-        expected_scores=tuple(scores),
+        expected=DematelResult(tuple(scores)),
     )

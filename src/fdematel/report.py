@@ -20,6 +20,7 @@ from .engine import (
     FactorScore,
     Group,
     analyze,
+    exact_sums,
     extract_csf,
 )
 from .io import CaseStudyFixture, load_case_study
@@ -115,8 +116,11 @@ def scores_from_report(report: dict) -> DematelResult:
     """Rebuild a DematelResult from a report's score records.
 
     Raises KeyError, TypeError, ValueError or OverflowError when the report
-    is malformed, non-finite scores included.
+    is malformed, non-finite scores included, or when its scores are too
+    large for the diagram's axis ranges to be finite.
     """
+    from .diagram import plot_ranges  # deferred: diagram imports this module
+
     if not report["scores"]:
         raise ValueError("the report lists no scores")
     scores = []
@@ -127,7 +131,9 @@ def scores_from_report(report: dict) -> DematelResult:
         if not all(map(math.isfinite, values.values())):
             raise ValueError(f"score record {rec['id']!r} has a non-finite score: {values}")
         scores.append(FactorScore(id=rec["id"], name=rec["name"], group=Group(rec["group"]), **values))
-    return DematelResult(tuple(scores))
+    result = DematelResult(tuple(scores))
+    plot_ranges(result)  # raises ValueError on scores the SVG axes cannot hold
+    return result
 
 
 def _verify_treatment(fixture: CaseStudyFixture, zero_diagonal: bool, cell_tol: float) -> dict:
@@ -137,7 +143,7 @@ def _verify_treatment(fixture: CaseStudyFixture, zero_diagonal: bool, cell_tol: 
     ids = a.catalog.ids
     dev = np.abs(t.entries - fixture.expected_total)
     worst = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    printed = {e.id: e for e in fixture.expected_scores}
+    printed = {e.id: e for e in fixture.expected.scores}
     r_dev = max(abs(s.r - printed[s.id].r) for s in result.scores)
     c_dev = max(abs(s.c - printed[s.id].c) for s in result.scores)
     prom_dev = max(abs(s.prominence - printed[s.id].prominence) for s in result.scores)
@@ -148,10 +154,10 @@ def _verify_treatment(fixture: CaseStudyFixture, zero_diagonal: bool, cell_tol: 
         if abs(printed[s.id].relation) >= SIGN_CHECK_MIN
         and math.copysign(1, s.relation) != math.copysign(1, printed[s.id].relation)
     ]
-    printed_neutral = [e.id for e in fixture.expected_scores if abs(e.relation) < SIGN_CHECK_MIN]
+    printed_neutral = [e.id for e in fixture.expected.scores if abs(e.relation) < SIGN_CHECK_MIN]
     unflagged_neutral = [fid for fid in printed_neutral if not result.by_id(fid).near_neutral]
     cause_ids = [s.id for s in result.scores if s.group is Group.CAUSE]
-    printed_cause = [e.id for e in fixture.expected_scores if e.relation > 0]
+    printed_cause = [e.id for e in fixture.expected.scores if e.group is Group.CAUSE]
     by_relation = max(result.scores, key=lambda s: s.relation).id
     by_relation_min = min(result.scores, key=lambda s: s.relation).id
     by_prominence = max(result.scores, key=lambda s: s.prominence).id
@@ -159,7 +165,7 @@ def _verify_treatment(fixture: CaseStudyFixture, zero_diagonal: bool, cell_tol: 
     return {
         "zero_diagonal": zero_diagonal,
         "scale_factor": d.scale_factor,
-        "max_row_id": ids[int(np.argmax([sum(row) for row in a.entries]))],
+        "max_row_id": ids[int(np.argmax(exact_sums(a.entries, axis=1)))],
         "total_max_dev": float(dev.max()),
         "total_worst_cell": (ids[worst[0]], ids[worst[1]]),
         "total_cells_over": cells_over,
@@ -260,8 +266,7 @@ def _render_treatment(out: dict, printed: dict, lines: list) -> None:
 
 def render_reproduction(outcome: dict) -> str:
     """Deterministic text body for the verification report."""
-    fixture = outcome["fixture"]
-    printed = {e.id: e for e in fixture.expected_scores}
+    printed = {e.id: e for e in outcome["fixture"].expected.scores}
     lines = []
     lines.append("fuzzy DEMATEL verification against the embedded 29-factor case study")
     lines.append("=" * 72)

@@ -7,7 +7,6 @@ from fdematel import (
     FactorCatalog,
     FuzzyAssessmentPanel,
     TriangularFuzzyNumber,
-    centroid,
     cfcs_cell,
     defuzzify_matrix,
     fuzzy_mean,
@@ -15,7 +14,7 @@ from fdematel import (
 from fdematel.cfcs import NO_JUDGMENT
 from fdematel.errors import EmptyPanel, MissingJudgment, RaggedPanel, UnknownTerm
 
-from cfcs_oracle import cfcs_steps
+from cfcs_oracle import centroid_of, cfcs_steps
 from conftest import random_panel, random_tfn
 
 T = TriangularFuzzyNumber
@@ -61,21 +60,15 @@ def test_empty_panel_rejected():
 
 
 def test_discrimination_over_centroid():
-    skewed = T(0, 0.25, 0.95)
-    symmetric = T(0.1, 0.4, 0.7)
-    assert centroid(skewed) == pytest.approx(0.4)
-    assert centroid(symmetric) == pytest.approx(0.4)
-    a = cfcs_cell([skewed]).crisp
-    b = cfcs_cell([symmetric]).crisp
+    skewed = (0, 0.25, 0.95)
+    symmetric = (0.1, 0.4, 0.7)
+    assert centroid_of(skewed) == pytest.approx(0.4)
+    assert centroid_of(symmetric) == pytest.approx(0.4)
+    a = cfcs_cell([T(*skewed)]).crisp
+    b = cfcs_cell([T(*symmetric)]).crisp
     assert a == pytest.approx(0.34488636363636365, abs=1e-9)
     assert b == pytest.approx(0.4, abs=1e-9)
     assert abs(a - b) > 0.05
-
-
-def test_centroid_examples():
-    assert centroid(T(0, 0.5, 1)) == pytest.approx(0.5)
-    assert centroid(T(0, 0.25, 0.95)) == pytest.approx(0.4)
-    assert centroid(T(0.1, 0.4, 0.7)) == pytest.approx(0.4)
 
 
 def test_random_panels_match_oracle():

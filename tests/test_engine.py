@@ -11,6 +11,7 @@ from fdematel import (
     FactorScore,
     Group,
     NormalizedMatrix,
+    TotalRelationMatrix,
     analyze,
     compute_scores,
     extract_csf,
@@ -88,6 +89,9 @@ def test_normalized_matrix_bounds():
         row_sums = [math.fsum(row) for row in d.entries]
         assert max(row_sums) == pytest.approx(1.0, abs=1e-12)
         assert all(s <= 1 + 1e-12 for s in row_sums)
+    for bad in ([[-0.1, 0.2], [0.1, 0]], [[0.5, 1.5], [0.1, 0]], [[np.nan, 0.2], [0.1, 0]]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            NormalizedMatrix(np.array(bad))
 
 
 def test_total_relation_of_zero_is_zero():
@@ -231,6 +235,33 @@ def test_permutation_equivariance():
             assert x.group is y.group
 
 
+def test_sums_are_bitwise_permutation_equivariant():
+    # magnitudes spread over eight decades, so plain np.sum rounds
+    # differently once the factors are reordered; fsum must not
+    rng = np.random.default_rng(7)
+    n = 40
+    entries = rng.uniform(0, 1, (n, n)) * 10.0 ** rng.integers(-6, 3, (n, n))
+    ids = [f"F{i + 1}" for i in range(n)]
+    a = drm(entries, ids)
+    scale = normalize(a).scale_factor
+    base = compute_scores(TotalRelationMatrix(entries), a.catalog).scores
+    moved = set()  # the plain np.sum results that some reordering changed
+    for _ in range(10):
+        perm = rng.permutation(n)
+        permuted = entries[np.ix_(perm, perm)]
+        pa = drm(permuted, [ids[i] for i in perm])
+        assert normalize(pa).scale_factor == scale
+        other = compute_scores(TotalRelationMatrix(permuted), pa.catalog).scores
+        assert [s.r for s in other] == [base[i].r for i in perm]
+        assert [s.c for s in other] == [base[i].c for i in perm]
+        if np.sum(permuted, axis=1).max() != np.sum(entries, axis=1).max():
+            moved.add("max row sum")
+        for axis in (0, 1):
+            if (np.sum(permuted, axis=axis) != np.sum(entries, axis=axis)[perm]).any():
+                moved.add(axis)
+    assert moved == {"max row sum", 0, 1}
+
+
 def test_csf_default_rule_on_fixture(study):
     _, _, result = analyze(study.direct)
     csf = extract_csf(result)
@@ -246,7 +277,7 @@ def test_csf_default_rule_on_fixture(study):
 
 def test_csf_on_printed_scores(study):
     # extraction over the expected score table gives the same leaders
-    result = study.expected_result()
+    result = study.expected
     csf = extract_csf(result)
     assert len(csf) == 15
     assert csf[:5] == ("X16", "X8", "X9", "X7", "X1")

@@ -288,7 +288,7 @@ def test_fixture_dimensions_and_ids(study):
     assert study.direct.n == 29
     assert study.direct.catalog.ids == tuple(f"X{i}" for i in range(1, 30))
     assert study.expected_total.shape == (29, 29)
-    assert len(study.expected_scores) == 29
+    assert len(study.expected.scores) == 29
 
 
 def test_fixture_spot_values(study):
@@ -296,7 +296,7 @@ def test_fixture_spot_values(study):
     assert study.direct.entries[idx["X1"], idx["X1"]] == 9.7
     assert study.direct.entries[idx["X16"], idx["X20"]] == 20.93
     assert study.expected_total[idx["X16"], idx["X5"]] == 0.08
-    x8 = next(e for e in study.expected_scores if e.id == "X8")
+    x8 = study.expected.by_id("X8")
     assert (x8.r, x8.c, x8.prominence, x8.relation) == (1.619, 1.056, 2.675, 0.564)
 
 
@@ -314,7 +314,7 @@ def test_fixture_loads_identically_each_time():
     a = load_case_study()
     b = load_case_study()
     assert (a.direct.entries == b.direct.entries).all()
-    assert a.expected_scores == b.expected_scores
+    assert a.expected == b.expected
 
 
 def test_fixture_matrix_parses_through_public_grammar(study):

@@ -2,6 +2,7 @@
 import json
 import re
 from importlib import resources
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_scores_round_trip_through_report(fixture_report, study_module):
 
 
 def test_diagram_json_uses_printed_scores(study_module):
-    text = emit_diagram(study_module.expected_result(), "json")
+    text = emit_diagram(study_module.expected, "json")
     points = json.loads(text)
     assert len(points) == 29
     x16 = next(p for p in points if p["id"] == "X16")
@@ -130,7 +131,7 @@ def parse_svg_points(svg):
 
 
 def test_svg_diagram_structure(study_module):
-    svg = emit_diagram(study_module.expected_result(), "svg")
+    svg = emit_diagram(study_module.expected, "svg")
     assert svg.startswith("<svg")
     assert "svg" in svg and "version=\"1.1\"" in svg
     assert "<script" not in svg
@@ -164,16 +165,37 @@ def test_svg_single_point_degenerate():
 
 
 def test_dot_diagram(study_module):
-    dot = emit_diagram(study_module.expected_result(), "dot")
+    dot = emit_diagram(study_module.expected, "dot")
     assert dot.startswith("graph cause_effect_diagram {")
     assert dot.count("pos=") == 29
     assert '"X16" [pos="3.180000,1.026000!"' in dot
-    assert emit_diagram(study_module.expected_result(), "dot") == dot
+    assert emit_diagram(study_module.expected, "dot") == dot
+
+
+def test_dot_and_svg_carry_any_id_and_name():
+    names = ('say "hi" \\ bye', "ctl\x01 <&> new\nline", "lone \ud800 surrogate")
+    ids = ('a"b', "back\\slash", "plain")
+    result = DematelResult(
+        tuple(
+            FactorScore(id=i, name=n, r=1.0, c=0.5, prominence=1.5 + k, relation=0.5, group=Group.CAUSE)
+            for k, (i, n) in enumerate(zip(ids, names))
+        )
+    )
+    quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', emit_diagram(result, "dot"))
+    fields = [re.sub(r"\\(.)", r"\1", q, flags=re.S) for q in quoted]
+    nodes = [fields[k : k + 5] for k in range(0, len(fields), 5)]
+    assert [(node[0], node[2], node[4]) for node in nodes] == [(i, i, n) for i, n in zip(ids, names)]
+
+    root = ElementTree.fromstring(emit_diagram(result, "svg"))
+    svg = "{http://www.w3.org/2000/svg}"
+    titles = [t.text for t in root.iter(f"{svg}title")]
+    assert titles == ['say "hi" \\ bye', "ctl\ufffd <&> new\nline", "lone \ufffd surrogate"]
+    assert [t.text for t in root.iter(f"{svg}text") if t.get("class") == "point-label"] == list(ids)
 
 
 def test_unknown_diagram_format(study_module):
     with pytest.raises(ValueError):
-        emit_diagram(study_module.expected_result(), "png")
+        emit_diagram(study_module.expected, "png")
 
 
 def test_cli_run_on_fixture_csv(tmp_path, capsys):
@@ -311,6 +333,12 @@ def test_cli_diagram_rejects_non_report(tmp_path, capsys, fixture_report):
         bad["scores"][0].update(fields)
         return json.dumps(bad)
 
+    def with_prominences(*values):
+        bad = json.loads(json.dumps(good))
+        for rec, value in zip(bad["scores"], values):
+            rec["prominence"] = value
+        return json.dumps(bad)
+
     path = tmp_path / "junk.json"
     for text in (
         '{"hello": 1}',
@@ -323,6 +351,11 @@ def test_cli_diagram_rejects_non_report(tmp_path, capsys, fixture_report):
         with_first_score(r=float("-inf")),
         with_first_score(c=float("nan")),
         with_first_score(r=10**400),
+        # finite scores whose padded SVG axis range is not
+        with_prominences(1.7e308, -1.7e308),
+        with_first_score(prominence=-1.79e308),
+        with_prominences(*[1.7e308] * 29),
+        with_prominences(*[1e17] * 29),
         json.dumps(dict(good, scores=[])),
         "[" * 100_000 + "]" * 100_000,
     ):
