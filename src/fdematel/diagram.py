@@ -130,8 +130,12 @@ def _svg(result: DematelResult) -> str:
     return "\n".join(out) + "\n"
 
 
+#: Lone surrogates, which a report's JSON can carry as \ud800 escapes. UTF-8
+#: cannot encode them, so the SVG and DOT writers both replace them.
+_SURROGATES = "\ud800-\udfff"
+_LONE_SURROGATE = re.compile(f"[{_SURROGATES}]")
 #: Characters XML 1.0 forbids in a document, escaped or not.
-_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_XML_FORBIDDEN = re.compile(f"[\x00-\x08\x0b\x0c\x0e-\x1f{_SURROGATES}\ufffe\uffff]")
 
 
 def _esc(text: str) -> str:
@@ -141,7 +145,9 @@ def _esc(text: str) -> str:
 
 
 def _dot_quote(text: str) -> str:
-    """A DOT quoted string, with backslashes and double quotes escaped."""
+    """A DOT quoted string, with backslashes and double quotes escaped and a
+    lone surrogate replaced by U+FFFD."""
+    text = _LONE_SURROGATE.sub("\ufffd", text)
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

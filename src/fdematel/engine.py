@@ -89,16 +89,99 @@ def _square_readonly(entries, what: str) -> np.ndarray:
     return arr
 
 
+#: Terms per block of lines in _two_sum_tree: the tree's three scratch
+#: arrays hold about twice this many floats, whatever the matrix size.
+_BLOCK_TERMS = 1 << 16
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves r non-finite
+def _two_sum_tree(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sums of the columns of a 2-D float array, and a mask of the columns
+    whose sum is certified to be the correctly rounded exact sum.
+
+    Each block of columns is copied into a scratch array and summed by a
+    tree: level by level, the first half of the terms is added to the
+    second half, and Knuth's TwoSum gives every addition's rounding error
+    e exactly, so the column's exact sum is hi + sum(e). The errors are
+    added in floating point, giving t. A last TwoSum rounds hi + t to r
+    with a remainder err. A column is certified when r is finite and
+    either
+    - |err| plus a bound on |t - sum(e)| is below half the smaller gap
+      next to r (Rump, Ogita & Oishi, "Accurate floating-point summation
+      Part II", 2008), the bound being twice gamma_n * sum|e| (Higham,
+      ch. 4) plus the smallest subnormal; this never holds for r == 0, or
+    - t is exact: every term, and so every error, is a multiple of q, the
+      ulp of the smallest nonzero |term|, and sum|e| <= 2**52 * q keeps
+      every partial sum of errors representable. Then r is the rounded
+      hi + sum(e), exact ties included. Only the columns the first test
+      leaves are checked, as it needs a pass over their terms.
+    t starts at +0.0, so r is never -0.0, as with math.fsum.
+    """
+    n, lines = terms.shape
+    k_max = max(1, min(lines, _BLOCK_TERMS // n))
+    buffers = (np.empty(n * k_max), np.empty((n + 1) // 2 * k_max))
+    z_buf = np.empty(n // 2 * k_max)
+    hi = np.empty(lines)
+    t = np.zeros(lines)
+    mag = np.zeros(lines)
+    for j in range(0, lines, k_max):
+        k = min(k_max, lines - j)
+        cur = buffers[0][: n * k].reshape(n, k)
+        np.copyto(cur, terms[:, j : j + k])
+        width, level = n, 0
+        while width > 1:
+            h, odd = divmod(width, 2)
+            level += 1
+            nxt = buffers[level % 2][: (h + odd) * k].reshape(h + odd, k)
+            a, b, s, z = cur[:h], cur[h : 2 * h], nxt[:h], z_buf[: h * k].reshape(h, k)
+            np.add(a, b, out=s)
+            np.subtract(s, a, out=z)
+            np.subtract(b, z, out=b)
+            np.subtract(s, z, out=z)
+            np.subtract(a, z, out=a)
+            np.add(a, b, out=a)  # the errors
+            t[j : j + k] += a.sum(axis=0)
+            mag[j : j + k] += np.abs(a, out=a).sum(axis=0)
+            if odd:
+                nxt[h] = cur[2 * h]
+            cur, width = nxt, h + odd
+        hi[j : j + k] = cur[0]
+    r = hi + t
+    z = r - hi
+    err = np.abs((hi - (r - z)) + (t - z))
+    bound = mag * (2.0 * n * 2.0**-53) + 2.0**-1074
+    finite = np.isfinite(r)
+    certified = finite & (err + bound < np.abs(r - np.nextafter(r, 0.0)) * 0.5)
+    rest = np.flatnonzero(finite & ~certified)
+    if rest.size:
+        left = np.abs(terms[:, rest])
+        smallest = np.min(left, axis=0, where=left > 0, initial=np.inf)
+        certified[rest] = mag[rest] <= np.spacing(smallest) * 2.0**52  # nan for an all-zero column
+    return r, certified
+
+
 def exact_sums(entries: np.ndarray, axis: int) -> Tuple[float, ...]:
     """Correctly rounded sums of a 2-D array: row sums for axis=1 and
     column sums for axis=0, as with np.sum.
 
-    math.fsum makes each sum independent of the order of its terms, so the
-    sums, their maximum and r - c are exactly equivariant under factor
-    reordering.
+    The sums are bit-identical to math.fsum per row or column: a certified
+    TwoSum tree (_two_sum_tree) sums every line at once, and a line it
+    cannot certify goes through math.fsum. A correctly rounded sum does not
+    depend on the order of its terms, so the sums, their maximum and r - c
+    are exactly equivariant under factor reordering. Raises NonNumericField
+    when a sum is not finite.
     """
-    lines = entries.T if axis == 0 else entries
-    return tuple(math.fsum(line) for line in lines)
+    terms = entries if axis == 0 else entries.T
+    sums, certified = _two_sum_tree(terms)
+    for i in np.flatnonzero(~certified):
+        try:
+            sums[i] = math.fsum(terms[:, i])
+        except OverflowError:
+            sums[i] = math.inf
+        if not math.isfinite(sums[i]):
+            line = "column" if axis == 0 else "row"
+            raise NonNumericField(f"the sum of {line} {i} (0-based) is not a finite float")
+    return tuple(sums.tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,12 +18,20 @@ from fdematel import (
     normalize,
     total_relation,
 )
+from fdematel.engine import _two_sum_tree, exact_sums
 from fdematel.errors import (
     NegativeEntry,
+    NonNumericField,
     NonSquare,
     SingularSystem,
     ZeroMatrix,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only test_exact_sums_match_fsum_oracle needs it
+    st = None
 
 
 def drm(entries, ids=None):
@@ -260,6 +268,115 @@ def test_sums_are_bitwise_permutation_equivariant():
             if (np.sum(permuted, axis=axis) != np.sum(entries, axis=axis)[perm]).any():
                 moved.add(axis)
     assert moved == {"max row sum", 0, 1}
+
+
+def fsum_bits(entries, axis):
+    """The oracle: math.fsum per row (axis=1) or column (axis=0), as bytes."""
+    lines = entries.T if axis == 0 else entries
+    return np.array([math.fsum(line) for line in lines]).tobytes()
+
+
+def test_exact_sums_round_halfway_cases_like_fsum():
+    # 1 + 2**-53 lies halfway between 1 and the next float; 2**-106 more
+    # tips it up. A TwoSum tree whose errors round to 2**-53 lands on the
+    # tie, and only the certificate sends such lines to fsum.
+    u = 2.0**-53
+    lines = [
+        [1.0, u],
+        [1.0, u, u * u],
+        [u * u, u, 1.0],
+        [1.0, u, -u * u],
+        [1.0, u, u * u, 0.0],
+        [-1.0, -u, -u * u],
+        [1.0 + 2 * u, u],
+        [3.0, 3.0, u * 4, u * u * 4],
+    ]
+    for line in lines:
+        for scale in (1.0, 2.0**-1000, 2.0**900):
+            x = np.array([line]) * scale
+            assert np.array(exact_sums(x, axis=1)).tobytes() == fsum_bits(x, 1), (line, scale)
+            assert np.array(exact_sums(x.T, axis=0)).tobytes() == fsum_bits(x.T, 0), (line, scale)
+
+
+def test_zero_sums_are_positive_zero_like_fsum():
+    # math.fsum never returns -0.0; a tree over -0.0 terms would
+    for n in (1, 2, 3, 4):
+        for axis in (0, 1):
+            sums = exact_sums(np.full((n, n), -0.0), axis)
+            assert [math.copysign(1.0, s) for s in sums] == [1.0] * n
+
+
+def test_overflowing_row_sum_is_a_typed_error():
+    with pytest.raises(NonNumericField, match="row 0"):
+        normalize(drm([[0, 1e308, 1e308], [1, 0, 1], [1, 1, 0]]))
+    with pytest.raises(NonNumericField, match="column 2"):
+        exact_sums(np.array([[1.0, 0.0, 1e308], [0.0, 1.0, 1e308]]), axis=0)
+
+
+def test_tree_certifies_every_sum_of_crisp_matrices():
+    # built like perfbench/gen.crisp_matrix (N=600, 0-4 scale, four
+    # decimals), with and without the sensitivity workload's noise: every
+    # sum of A and T must be certified, so math.fsum never runs
+    rng = np.random.default_rng(11)
+    for zero_diagonal in (False, True):
+        a = np.round(rng.uniform(0.0, 4.0, size=(600, 600)), 4)
+        if zero_diagonal:
+            np.fill_diagonal(a, 0.0)
+        for entries in (a, a * rng.uniform(0.9, 1.1, size=a.shape)):
+            direct = drm(entries)
+            t = analyze(direct)[1].entries
+            for m in (direct.entries, t):
+                for terms in (m, m.T):
+                    assert _two_sum_tree(terms)[1].all()
+
+
+def finite_bits(rng, shape):
+    """Random bit patterns as floats; a non-finite one or one over 1e306 (so
+    that a sum of 65 terms cannot overflow) is replaced by a normal draw."""
+    x = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    return np.where(np.abs(x) <= 1e306, x, rng.standard_normal(shape))
+
+
+#: Value families for the fsum oracle test; each builds a matrix from a seed.
+SUM_VALUES = {
+    # any finite float up to 1e306, so that no sum of 65 terms overflows
+    "bits": lambda rng, shape: finite_bits(rng, shape),
+    "decades": lambda rng, shape: rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape),
+    "subnormal": lambda rng, shape: rng.integers(-(2**52), 2**52, shape) * 2.0**-1074,
+    "zeros": lambda rng, shape: rng.choice([0.0, -0.0], shape),
+    "crisp": lambda rng, shape: np.round(rng.uniform(0.0, 4.0, shape), 4),
+    "halfway": lambda rng, shape: rng.choice([1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-106], shape)
+    * 2.0 ** int(rng.integers(-900, 900)),
+}
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_exact_sums_match_fsum_oracle():
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        shape=st.tuples(st.just(1), st.integers(1, 65)) | st.integers(2, 40).map(lambda n: (n, n)),
+        kind=st.sampled_from(sorted(SUM_VALUES)),
+        seed=st.integers(0, 2**32 - 1),
+        cancel=st.booleans(),
+        negative_zero_lines=st.integers(0, 3),
+    )
+    def check(shape, kind, seed, cancel, negative_zero_lines):
+        rng = np.random.default_rng(seed)
+        x = SUM_VALUES[kind](rng, shape).astype(float)
+        if cancel and shape[1] >= 3:
+            # rows of the form [x, -x, y], shuffled
+            half = (shape[1] - 1) // 2
+            x[:, half : 2 * half] = -x[:, :half]
+            x = x[:, rng.permutation(shape[1])]
+        for _ in range(negative_zero_lines):
+            if rng.integers(2):
+                x[rng.integers(shape[0])] = -0.0
+            else:
+                x[:, rng.integers(shape[1])] = -0.0
+        for axis in (0, 1):
+            assert np.array(exact_sums(x, axis)).tobytes() == fsum_bits(x, axis), (kind, axis)
+
+    check()
 
 
 def test_csf_default_rule_on_fixture(study):

@@ -1,5 +1,7 @@
 """Report assembly, diagram emitters, and CLI behavior."""
+import dataclasses
 import json
+import math
 import re
 from importlib import resources
 from xml.etree import ElementTree
@@ -19,7 +21,13 @@ from fdematel import (
     render_json,
 )
 from fdematel.cli import main
-from fdematel.errors import MalformedDocument, NegativeEntry, SingularSystem, VerificationFailed
+from fdematel.errors import (
+    MalformedDocument,
+    NegativeEntry,
+    NonNumericField,
+    SingularSystem,
+    VerificationFailed,
+)
 from fdematel.report import render_reproduction, run_reproduction, scores_from_report
 
 
@@ -172,7 +180,7 @@ def test_dot_diagram(study_module):
     assert emit_diagram(study_module.expected, "dot") == dot
 
 
-def test_dot_and_svg_carry_any_id_and_name():
+def test_dot_and_svg_carry_any_id_and_name(tmp_path, capsys):
     names = ('say "hi" \\ bye', "ctl\x01 <&> new\nline", "lone \ud800 surrogate")
     ids = ('a"b', "back\\slash", "plain")
     result = DematelResult(
@@ -184,7 +192,19 @@ def test_dot_and_svg_carry_any_id_and_name():
     quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', emit_diagram(result, "dot"))
     fields = [re.sub(r"\\(.)", r"\1", q, flags=re.S) for q in quoted]
     nodes = [fields[k : k + 5] for k in range(0, len(fields), 5)]
-    assert [(node[0], node[2], node[4]) for node in nodes] == [(i, i, n) for i, n in zip(ids, names)]
+    drawn = [n.replace("\ud800", "\ufffd") for n in names]  # UTF-8 cannot carry a lone surrogate
+    assert [(node[0], node[2], node[4]) for node in nodes] == [(i, i, n) for i, n in zip(ids, drawn)]
+
+    # the CLI writes both formats, to stdout and to a file, for a report
+    # whose JSON holds the surrogate as an escape
+    report = tmp_path / "report.json"
+    records = [dict(dataclasses.asdict(s), group=s.group.value) for s in result.scores]
+    report.write_text(json.dumps({"scores": records}))
+    for fmt in ("dot", "svg"):
+        assert main(["diagram", str(report), "--format", fmt]) == 0, fmt
+        assert "lone \ufffd surrogate" in capsys.readouterr().out
+        assert main(["diagram", str(report), "--format", fmt, "--output", str(tmp_path / "out")]) == 0, fmt
+        assert "lone \ufffd surrogate" in (tmp_path / "out").read_text(encoding="utf-8")
 
     root = ElementTree.fromstring(emit_diagram(result, "svg"))
     svg = "{http://www.w3.org/2000/svg}"
@@ -269,6 +289,29 @@ def test_cli_negative_entry_exit_code(tmp_path, capsys):
     assert code == NegativeEntry.exit_code
     assert "NegativeEntry" in captured.err
     assert "X1" in captured.err  # offending location named
+
+
+def test_cli_overflowing_row_sum_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("id,X1,X2,X3\nX1,0,1e308,1e308\nX2,1,0,1\nX3,1,1,0\n")
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == NonNumericField.exit_code
+    assert "NonNumericField" in captured.err
+
+
+def test_cli_negative_zero_column_prints_positive_zero(tmp_path, capsys):
+    # odd and even column lengths; the -0 column of A gives a -0 column of T
+    for text in (
+        "id,X1,X2,X3\nX1,0,1,-0\nX2,1,0,-0\nX3,3,1,-0\n",
+        "id,X1,X2,X3,X4\nX1,0,1,-0,-0\nX2,1,0,-0,-0\nX3,3,1,-0,-0\nX4,3,1,-0,-0\n",
+    ):
+        path = tmp_path / "zeros.csv"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 0
+        scores = json.loads(capsys.readouterr().out)["scores"]
+        assert [math.copysign(1.0, rec["c"]) for rec in scores] == [1.0] * len(scores)
+        assert scores[-1]["c"] == 0.0
 
 
 def test_cli_unknown_extension_requires_format_flag(tmp_path, capsys):
