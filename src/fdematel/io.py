@@ -37,12 +37,13 @@ TextSource = Union[str, bytes]
 
 
 def _decode(data: TextSource, what: str) -> str:
+    """UTF-8 text without its byte-order mark, which spreadsheet exports write."""
     if isinstance(data, bytes):
         try:
-            return data.decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedDocument(f"{what} is not valid UTF-8: {exc}") from None
-    return data
+    return data.removeprefix("\ufeff")
 
 
 @dataclass(frozen=True)

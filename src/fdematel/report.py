@@ -1,14 +1,18 @@
 """Machine-readable analysis reports and the case-study verification.
 
-Reports are plain dicts rendered to JSON with numbers canonicalized to 12
+Reports are dicts rendered to JSON with numbers canonicalized to 12
 significant digits, so identical inputs yield byte-identical output (the
 generation timestamp lives in metadata and is the only varying field).
+The matrices stay read-only ndarrays until `render_json` writes them.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from datetime import datetime, timezone
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -46,13 +50,69 @@ def canonical_numbers(obj):
         return {k: canonical_numbers(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical_numbers(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return canonical_numbers(obj.tolist())
     return obj
 
 
+#: Nonzero magnitudes below this are subnormal. There, 12 significant
+#: digits can name another float than repr's shortest text does:
+#: 1e-320 prints 9.99988867183e-321 with .12g, and 1e-320 through repr.
+_SMALLEST_NORMAL = sys.float_info.min
+#: %g picks the exponent form after rounding to 12 digits, so
+#: 999999999999.5 prints 1e+12, where repr of the rounded float prints
+#: 1000000000000.0 (repr turns to exponents at 1e16). Below this bound
+#: the two forms agree.
+_FAST_LIMIT = 1e11
+
+
+def _matrix_text(m: np.ndarray, indent: str) -> str:
+    """JSON text of a 2-D float array at the given line indent, the same
+    as json.dumps(canonical_numbers(m.tolist()), indent=2) re-indented.
+
+    A float takes one .12g format, plus ".0" when the text has neither a
+    point nor an exponent. A row holding a non-finite, subnormal or
+    |x| >= _FAST_LIMIT value takes the exact form instead, float by float.
+    """
+    row_indent = indent + "  "
+    cell_indent = row_indent + "  "
+    magnitude = np.abs(m)
+    exact_rows = (~(magnitude < _FAST_LIMIT) | ((magnitude < _SMALLEST_NORMAL) & (m != 0))).any(axis=1)
+    rows = []
+    for row, exact in zip(m, exact_rows.tolist()):
+        values = row.tolist()
+        if exact:
+            texts = [json.dumps(float(f"{x:.12g}")) for x in values]
+        else:
+            texts = [t if "." in t or "e" in t else t + ".0" for t in map(format, values, repeat(".12g"))]
+        rows.append(("," + cell_indent).join(texts))
+    row_sep = row_indent + "]," + row_indent + "[" + cell_indent
+    return "[" + row_indent + "[" + cell_indent + row_sep.join(rows) + row_indent + "]" + indent + "]"
+
+
+def _write(obj, indent: str, out: list) -> None:
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size and obj.dtype == float:
+        out.append(_matrix_text(obj, indent))
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        inner = indent + "  "
+        opener = "{"
+        for key, value in obj.items():
+            out.append(opener + inner + encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+            opener = ","
+        out.append(indent + "}")
+    else:
+        out.append(json.dumps(canonical_numbers(obj), indent=2).replace("\n", indent))
+
+
 def render_json(obj) -> str:
-    return json.dumps(canonical_numbers(obj), indent=2)
+    """The text of json.dumps(canonical_numbers(obj), indent=2).
+
+    It is also the serializer of a `build_report` dict, which holds its
+    matrices as ndarrays that json.dumps does not accept: a 2-D float
+    ndarray held in string-keyed dicts is written row by row.
+    """
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
 
 
 def _score_record(s: FactorScore, csf: set) -> dict:
@@ -102,11 +162,7 @@ def build_report(
             "generated_at": generated_at,
         },
         "factors": [{"id": f.id, "name": f.name} for f in a.catalog.factors],
-        "matrices": {
-            "direct": a.entries.tolist(),
-            "normalized": d.entries.tolist(),
-            "total": t.entries.tolist(),
-        },
+        "matrices": {"direct": a.entries, "normalized": d.entries, "total": t.entries},
         "scores": [_score_record(s, csf_ids) for s in result.scores],
         "csf": csf,
     }

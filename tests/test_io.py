@@ -270,6 +270,16 @@ def test_parse_crisp_matrix_errors():
         parse_crisp_matrix("id,X1,X2\nX1,0," + "1" * 200_000 + "\nX2,1,0\n")
 
 
+
+def test_inputs_may_start_with_a_utf8_byte_order_mark():
+    survey = json.dumps(survey_dict(n=3, term="high effect"))
+    for parse, text in ((parse_crisp_matrix, CSV_MINIMAL), (parse_survey, survey)):
+        bom = "\ufeff" + text
+        for data in (bom, bom.encode("utf-8")):
+            assert repr(parse(data)) == repr(parse(text)), (parse.__name__, type(data))
+        with pytest.raises(MalformedDocument, match="not valid UTF-8"):
+            parse(bom.encode("utf-8") + b"\xff")
+
 def test_crisp_matrix_round_trip_grammar():
     rng = np.random.default_rng(43)
     for _ in range(30):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 from importlib import resources
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -313,6 +314,35 @@ def test_cli_negative_zero_column_prints_positive_zero(tmp_path, capsys):
         assert [math.copysign(1.0, rec["c"]) for rec in scores] == [1.0] * len(scores)
         assert scores[-1]["c"] == 0.0
 
+
+
+def test_cli_writes_subnormal_and_band_entries_as_the_rounded_float(tmp_path):
+    # .12g text would print 9.99988867183e-321 and 1e+12 here
+    out = tmp_path / "report.json"
+    for text, first_row in (
+        ("id,X1,X2\nX1,0,1e-320\nX2,1,0\n", ["0.0", "1e-320"]),
+        ("id,X1,X2,X3\nX1,0,999999999999.5,1\nX2,1,0,2\nX3,2,1,0\n", ["0.0", "1000000000000.0", "1.0"]),
+    ):
+        path = tmp_path / "edge.csv"
+        path.write_text(text)
+        assert main(["run", str(path), "--output", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"), parse_float=str)
+        assert report["matrices"]["direct"][0] == first_row
+
+
+def test_cli_run_accepts_a_utf8_byte_order_mark(tmp_path):
+    survey = (Path(__file__).parent / "data" / "survey_small.json").read_bytes()
+    out = tmp_path / "report.json"
+    for name, data in (("table5.csv", table5_text().encode("utf-8")), ("survey_small.json", survey)):
+        reports = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / (prefix.hex() + name)
+            path.write_bytes(prefix + data)
+            assert main(["run", str(path), "--output", str(out)]) == 0, (name, prefix)
+            report = json.loads(out.read_text(encoding="utf-8"))
+            del report["metadata"]["input"], report["metadata"]["generated_at"]
+            reports.append(report)
+        assert reports[0] == reports[1], name
 
 def test_cli_unknown_extension_requires_format_flag(tmp_path, capsys):
     path = tmp_path / "matrix.txt"
