@@ -31,7 +31,6 @@ from .fuzzy import (
     LinguisticScale,
     LinguisticTerm,
     TriangularFuzzyNumber,
-    fuzzy_mean,
 )
 from .io import (
     SurveyDocument,
@@ -66,7 +65,6 @@ __all__ = [
     "defuzzify_matrix",
     "emit_diagram",
     "extract_csf",
-    "fuzzy_mean",
     "load_case_study",
     "normalize",
     "parse_crisp_matrix",

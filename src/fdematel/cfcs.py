@@ -1,24 +1,25 @@
 """CFCS defuzzification: fuzzy judgment panels to crisp influence values.
 
-The per-cell procedure keeps a complete trace (standardized components,
-normalized left/right scores, total score, per-expert BNP) so a reported
-crisp value can always be audited step by step.
+One array function (_cfcs) holds the formula. It runs over many cell panels
+at once for defuzzify_matrix and over a single panel for cfcs_cell, whose
+complete trace (standardized components, normalized left/right scores,
+total score, per-expert BNP) lets a reported crisp value be audited step by
+step.
 
 Standardization subtracts the panel minimum of the left bounds from all
 three components; min/max run over the experts of one cell only.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .engine import DirectRelationMatrix, FactorCatalog
-from .errors import EmptyPanel, MissingJudgment, RaggedPanel, UnknownTerm
-from .fuzzy import TriangularFuzzyNumber, fuzzy_mean
+from .engine import DirectRelationMatrix, FactorCatalog, exact_sums
+from .errors import EmptyPanel, MissingJudgment, NonNumericField, RaggedPanel, UnknownTerm
+from .fuzzy import TriangularFuzzyNumber
 
 
 @dataclass(frozen=True)
@@ -45,34 +46,46 @@ class CfcsTrace:
     crisp: float
 
 
-def cfcs_cell(samples: Sequence[TriangularFuzzyNumber]) -> CfcsTrace:
-    """Defuzzify one cell's expert panel, one judgment per expert.
+def _mean(values: np.ndarray) -> np.ndarray:
+    """Correctly rounded column means of a (K, M) array; being exact sums,
+    they do not depend on the order of the K rows."""
+    try:
+        return np.array(exact_sums(values, axis=0)) / len(values)
+    except NonNumericField:
+        raise NonNumericField("a cell's defuzzified value is not a finite float") from None
 
-    When every expert gave the identical point value (delta = 0) the crisp
-    output is that value and all intermediate fields are zero by
-    convention; unanimous point judgments are valid surveys, not errors.
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # masked or raised below
+def _cfcs(l: np.ndarray, m: np.ndarray, r: np.ndarray):
+    """CFCS over (K, M) arrays: one row per expert, one column per panel.
+
+    Returns delta and the crisp values, each of shape (M,), and the
+    (7, K, M) stack of per-expert steps xl, xm, xr, xls, xrs, x, bnp.
+    A panel whose experts all gave the same point (delta = 0) is a valid
+    survey, not an error: its crisp value is that point, and its steps are
+    zero by convention.
     """
+    left = l.min(axis=0)
+    delta = r.max(axis=0) - left
+    xl = (l - left) / delta
+    xm = (m - left) / delta
+    xr = (r - left) / delta
+    xls = xm / (1.0 + xm - xl)
+    xrs = xr / (1.0 + xr - xm)
+    x = (xls * (1.0 - xls) + xrs * xrs) / (1.0 - xls + xrs)
+    bnp = left + x * delta
+    point = delta == 0.0
+    steps = np.where(point, 0.0, np.stack((xl, xm, xr, xls, xrs, x, bnp)))
+    return delta, steps, np.where(point, left, _mean(steps[6]))
+
+
+def cfcs_cell(samples: Sequence[TriangularFuzzyNumber]) -> CfcsTrace:
+    """Defuzzify one cell's expert panel, one judgment per expert."""
     if not samples:
         raise EmptyPanel("a cell panel needs at least one expert judgment")
-    left = min(s.l for s in samples)
-    right = max(s.r for s in samples)
-    delta = right - left
-    if delta == 0.0:
-        zero = ExpertTrace(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return CfcsTrace(delta=0.0, experts=(zero,) * len(samples), crisp=left)
-    traces = []
-    for s in samples:
-        xl = (s.l - left) / delta
-        xm = (s.m - left) / delta
-        xr = (s.r - left) / delta
-        xls = xm / (1.0 + xm - xl)
-        xrs = xr / (1.0 + xr - xm)
-        x = (xls * (1.0 - xls) + xrs * xrs) / (1.0 - xls + xrs)
-        bnp = left + x * delta
-        traces.append(ExpertTrace(xl, xm, xr, xls, xrs, x, bnp))
-    # fsum keeps the mean independent of expert order
-    crisp = math.fsum(t.bnp for t in traces) / len(samples)
-    return CfcsTrace(delta=delta, experts=tuple(traces), crisp=crisp)
+    delta, steps, crisp = _cfcs(*np.array([s.as_tuple() for s in samples]).T[:, :, None])
+    experts = tuple(ExpertTrace(*row) for row in steps[:, :, 0].T.tolist())
+    return CfcsTrace(delta=float(delta[0]), experts=experts, crisp=float(crisp[0]))
 
 
 class DefuzzMode(Enum):
@@ -123,9 +136,10 @@ def defuzzify_matrix(
     Every off-diagonal cell must carry a judgment from every expert;
     diagonal cells are 0 regardless of any judgments present.
 
-    cfcs_cell runs once per distinct multiset of expert judgments, not once
-    per cell: its result does not depend on expert order (min, max and an
-    exact fsum), so cells whose sorted term codes agree get the same bits.
+    The formula runs once per distinct multiset of expert judgments, not
+    once per cell, all multisets in one array call: its result does not
+    depend on expert order (min, max and an exact sum), so cells whose
+    sorted term codes agree get the same bits.
     """
     if panel.k < 1:
         raise EmptyPanel("assessment panel has no experts")
@@ -152,13 +166,15 @@ def defuzzify_matrix(
     rows = np.ascontiguousarray(np.sort(cells, axis=1))
     keys = rows.view(np.dtype((np.void, rows.itemsize * panel.k))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    multisets = [[triples[c] for c in row] for row in rows[first].tolist()]
+    # (3, K, M): l, m and r of each expert's judgment in each distinct multiset
+    lmr = np.array([t.as_tuple() for t in triples]).T[:, rows[first].T]
     if mode is DefuzzMode.PER_EXPERT_BNP:
-        crisp = [cfcs_cell(samples).crisp for samples in multisets]
+        _, _, crisp = _cfcs(*lmr)
     elif mode is DefuzzMode.AGGREGATE_THEN_DEFUZZIFY:
-        crisp = [cfcs_cell([fuzzy_mean(samples)]).crisp for samples in multisets]
+        # the componentwise mean triples, as a panel of one expert each
+        _, _, crisp = _cfcs(*_mean(np.hstack(lmr)).reshape(3, 1, -1))
     else:
         raise ValueError(f"unknown defuzzification mode {mode!r}")
     out = np.zeros((n, n))
-    out[off] = np.asarray(crisp)[inverse.reshape(-1)]
+    out[off] = crisp[inverse.reshape(-1)]
     return DirectRelationMatrix(out, panel.catalog)

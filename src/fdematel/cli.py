@@ -10,7 +10,7 @@ from pathlib import Path
 from ._version import __version__
 from .cfcs import DefuzzMode, defuzzify_matrix
 from .errors import FdematelError, MalformedDocument, VerificationFailed, exit_code_table
-from .io import parse_crisp_matrix, parse_survey
+from .io import _decode, parse_crisp_matrix, parse_survey
 from .diagram import emit_diagram
 from .report import (
     TOTAL_CELL_TOL,
@@ -137,7 +137,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_diagram(args) -> int:
     try:
-        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        report = json.loads(_decode(Path(args.report).read_bytes(), repr(args.report)))
         result = scores_from_report(report)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedDocument(f"{args.report!r} is not a valid analysis report: {exc}") from None

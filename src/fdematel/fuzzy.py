@@ -8,9 +8,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
-from .errors import EmptyPanel, InvalidFuzzyNumber, InvalidScale, UnknownTerm
+from .errors import InvalidFuzzyNumber, InvalidScale, UnknownTerm
 
 
 @dataclass(frozen=True)
@@ -135,19 +135,3 @@ class LinguisticScale:
 
 
 DEFAULT_SCALE = LinguisticScale.default()
-
-
-def fuzzy_mean(samples: Iterable[TriangularFuzzyNumber]) -> TriangularFuzzyNumber:
-    """Componentwise arithmetic mean of a non-empty collection.
-
-    Uses exact summation, so the result does not depend on sample order.
-    """
-    items = list(samples)
-    if not items:
-        raise EmptyPanel("cannot average an empty collection of fuzzy numbers")
-    k = len(items)
-    return TriangularFuzzyNumber(
-        math.fsum(t.l for t in items) / k,
-        math.fsum(t.m for t in items) / k,
-        math.fsum(t.r for t in items) / k,
-    )

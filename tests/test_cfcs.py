@@ -1,4 +1,6 @@
 """Defuzzification tests: engine vs the independent step-by-step oracle."""
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from fdematel import (
     TriangularFuzzyNumber,
     cfcs_cell,
     defuzzify_matrix,
-    fuzzy_mean,
 )
 from fdematel.cfcs import NO_JUDGMENT
 from fdematel.errors import EmptyPanel, MissingJudgment, RaggedPanel, UnknownTerm
@@ -20,14 +21,15 @@ from conftest import random_panel, random_tfn
 T = TriangularFuzzyNumber
 
 
-def assert_matches_oracle(samples, tol=1e-9):
+def assert_matches_oracle(samples):
+    """cfcs_cell equals the oracle bit for bit, step by step."""
     trace = cfcs_cell([T(*s) for s in samples])
     expected = cfcs_steps(samples)
-    assert trace.delta == pytest.approx(expected["delta"], abs=tol)
-    assert trace.crisp == pytest.approx(expected["crisp"], abs=tol)
+    assert trace.delta == expected["delta"]
+    assert trace.crisp == expected["crisp"]
+    assert len(trace.experts) == len(expected["experts"])
     for got, want in zip(trace.experts, expected["experts"]):
-        got_fields = (got.xl, got.xm, got.xr, got.xls, got.xrs, got.x, got.bnp)
-        assert got_fields == pytest.approx(want, abs=tol)
+        assert (got.xl, got.xm, got.xr, got.xls, got.xrs, got.x, got.bnp) == want
 
 
 def test_single_symmetric_triangle_yields_its_mode():
@@ -144,19 +146,19 @@ def codes(*experts):
 
 
 def reference_defuzzify(triples, terms, mode):
-    """Per-cell loop over the scalar cfcs_cell: the reference that
-    defuzzify_matrix must match byte for byte."""
+    """Per-cell loop over the independent oracle: the reference that
+    defuzzify_matrix must match byte for byte. Aggregate mode takes the
+    mean triple as math.fsum / K per component."""
     k, n, _ = terms.shape
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            cell = [triples[terms[e, i, j]] for e in range(k)]
-            if mode is DefuzzMode.PER_EXPERT_BNP:
-                out[i, j] = cfcs_cell(cell).crisp
-            else:
-                out[i, j] = cfcs_cell([fuzzy_mean(cell)]).crisp
+            cell = [triples[terms[e, i, j]].as_tuple() for e in range(k)]
+            if mode is DefuzzMode.AGGREGATE_THEN_DEFUZZIFY:
+                cell = [tuple(math.fsum(s[c] for s in cell) / k for c in range(3))]
+            out[i, j] = cfcs_steps(cell)["crisp"]
     return out
 
 
@@ -253,6 +255,21 @@ def test_aggregate_mode_defuzzifies_the_mean_triple():
     direct = defuzzify_matrix(panel, DefuzzMode.AGGREGATE_THEN_DEFUZZIFY)
     mean = tuple((x + y) / 2 for x, y in zip(a.as_tuple(), b.as_tuple()))
     assert direct.entries[0, 1] == pytest.approx(cfcs_steps([mean])["crisp"], abs=1e-9)
+
+
+def test_aggregate_mode_of_identical_experts_is_that_triple():
+    rng = np.random.default_rng(13)
+    for k in (1, 2, 7, 50):
+        a = random_tfn(rng)
+        panel = FuzzyAssessmentPanel(
+            catalog=two_factor_catalog(),
+            triples=(a,),
+            terms=codes(*[[[None, 0], [0, None]]] * k),
+        )
+        direct = defuzzify_matrix(panel, DefuzzMode.AGGREGATE_THEN_DEFUZZIFY).entries
+        want = cfcs_steps([a.as_tuple()])["crisp"]
+        assert direct[0, 1] == pytest.approx(want, abs=1e-12, rel=0)
+        assert direct[1, 0] == pytest.approx(want, abs=1e-12, rel=0)
 
 
 def test_missing_judgment_is_located():

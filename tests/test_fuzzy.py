@@ -1,5 +1,4 @@
 """Fuzzy number and linguistic scale tests."""
-import numpy as np
 import pytest
 
 from fdematel import (
@@ -7,11 +6,8 @@ from fdematel import (
     LinguisticScale,
     LinguisticTerm,
     TriangularFuzzyNumber,
-    fuzzy_mean,
 )
-from fdematel.errors import EmptyPanel, InvalidFuzzyNumber, InvalidScale, UnknownTerm
-
-from conftest import random_tfn
+from fdematel.errors import InvalidFuzzyNumber, InvalidScale, UnknownTerm
 
 T = TriangularFuzzyNumber
 
@@ -63,21 +59,6 @@ def test_invalid_triples_are_rejected():
         T(0.0, float("nan"), 1.0)
     with pytest.raises(InvalidFuzzyNumber):
         T(0.0, 0.5, float("inf"))
-
-
-def test_mean_examples():
-    assert fuzzy_mean([T(0, 0.25, 0.5)]).as_tuple() == (0, 0.25, 0.5)
-    assert fuzzy_mean([T(0, 0.25, 0.5), T(0.5, 0.75, 1)]).as_tuple() == (0.25, 0.5, 0.75)
-    with pytest.raises(EmptyPanel):
-        fuzzy_mean([])
-
-
-def test_mean_of_identical_copies_is_identity():
-    rng = np.random.default_rng(13)
-    for n in (1, 2, 7, 50):
-        a = random_tfn(rng)
-        m = fuzzy_mean([a] * n)
-        assert np.allclose(m.as_tuple(), a.as_tuple(), atol=1e-12, rtol=0)
 
 
 def test_custom_scale_from_json():

@@ -53,22 +53,23 @@ def table5_text():
     return resources.files("fdematel").joinpath("data", "table5.csv").read_text()
 
 
-def survey_text(terms=("high effect", "little effect")):
-    ab, ba = terms
-    return json.dumps(
+def survey_text(terms=("high effect", "little effect"), *more, scale=None):
+    """Two-factor survey, one (F1->F2, F2->F1) pair of labels per expert,
+    on the default scale or on scale's (label, (l, m, r)) entries."""
+    doc = {"factors": [{"id": "F1", "name": "first"}, {"id": "F2", "name": "second"}]}
+    if scale is not None:
+        doc["scale"] = {"terms": [dict(label=label, l=l, m=m, r=r) for label, (l, m, r) in scale]}
+    doc["experts"] = [
         {
-            "factors": [{"id": "F1", "name": "first"}, {"id": "F2", "name": "second"}],
-            "experts": [
-                {
-                    "id": "e1",
-                    "judgments": [
-                        {"from": "F1", "to": "F2", "term": ab},
-                        {"from": "F2", "to": "F1", "term": ba},
-                    ],
-                }
+            "id": f"e{k + 1}",
+            "judgments": [
+                {"from": "F1", "to": "F2", "term": ab},
+                {"from": "F2", "to": "F1", "term": ba},
             ],
         }
-    )
+        for k, (ab, ba) in enumerate((terms, *more))
+    ]
+    return json.dumps(doc)
 
 
 def test_report_scores_in_catalog_order(fixture_report, study_module):
@@ -343,6 +344,47 @@ def test_cli_run_accepts_a_utf8_byte_order_mark(tmp_path):
             del report["metadata"]["input"], report["metadata"]["generated_at"]
             reports.append(report)
         assert reports[0] == reports[1], name
+
+
+def test_cli_diagram_accepts_a_utf8_byte_order_mark(tmp_path):
+    golden = Path(__file__).parent / "data" / "golden"
+    report = (golden / "run-table5.json").read_bytes()
+    out = tmp_path / "diagram"
+    for fmt in ("dot", "svg", "json"):
+        diagrams = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / (prefix.hex() + "report.json")
+            path.write_bytes(prefix + report)
+            assert main(["diagram", str(path), "--format", fmt, "--output", str(out)]) == 0, (fmt, prefix)
+            diagrams.append(out.read_bytes())
+        assert diagrams[0] == diagrams[1] == (golden / f"diagram-table5.{fmt}").read_bytes(), fmt
+
+
+def assert_both_modes_exit_non_numeric(path, capsys):
+    for mode in ("per-expert", "aggregate"):
+        code = main(["run", str(path), "--mode", mode])
+        err = capsys.readouterr().err
+        assert code == NonNumericField.exit_code, mode
+        assert "defuzzified value is not a finite float" in err, mode
+        assert "column" not in err, mode
+
+
+def test_cli_overflowing_cfcs_mean_exit_code(tmp_path, capsys):
+    # two BNPs near 1.6e308 (and two left bounds of 1.5e308) overflow their sum
+    path = tmp_path / "huge.json"
+    scale = (("no effect", (0, 0, 1e308)), ("little effect", (1.5e308, 1.6e308, 1.7e308)))
+    path.write_text(survey_text(*[("little effect", "little effect")] * 2, scale=scale))
+    assert_both_modes_exit_non_numeric(path, capsys)
+
+
+def test_cli_overflowing_cfcs_delta_exit_code(tmp_path, capsys):
+    # a mixed panel's right - left overflows; two left bounds of -1.7e308
+    # overflow the aggregate mean
+    path = tmp_path / "wide.json"
+    scale = (("no effect", (-1.7e308, 0, 0)), ("little effect", (0, 1, 1.7e308)))
+    path.write_text(survey_text(("no effect", "no effect"), ("little effect", "no effect"), scale=scale))
+    assert_both_modes_exit_non_numeric(path, capsys)
+
 
 def test_cli_unknown_extension_requires_format_flag(tmp_path, capsys):
     path = tmp_path / "matrix.txt"
