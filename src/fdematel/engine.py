@@ -17,6 +17,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .errors import (
+    MalformedDocument,
     NegativeEntry,
     NonNumericField,
     NonSquare,
@@ -51,17 +52,18 @@ class Factor:
 
 @dataclass(frozen=True)
 class FactorCatalog:
-    """Ordered factor list; the order is shared by every matrix in a run."""
+    """Ordered factor list; the order is shared by every matrix in a run.
+    Fewer than two factors or a repeated id raise MalformedDocument."""
 
     factors: Tuple[Factor, ...]
 
     def __post_init__(self):
         ids = [f.id for f in self.factors]
         if len(ids) < 2:
-            raise ValueError("a factor catalog needs at least two factors")
+            raise MalformedDocument("a factor catalog needs at least two factors")
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate factor ids: {dupes}")
+            raise MalformedDocument(f"duplicate factor ids: {dupes}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[str, str]]) -> "FactorCatalog":
@@ -186,7 +188,9 @@ def exact_sums(entries: np.ndarray, axis: int) -> Tuple[float, ...]:
 
 @dataclass(frozen=True, eq=False)
 class DirectRelationMatrix:
-    """Crisp square matrix A; entry (i, j) is the influence of i on j."""
+    """Crisp square matrix A; entry (i, j) is the influence of i on j.
+    The first non-finite or negative entry in row-major order raises
+    NonNumericField or NegativeEntry, naming its cell by factor ids."""
 
     entries: np.ndarray
     catalog: FactorCatalog
@@ -197,13 +201,14 @@ class DirectRelationMatrix:
             raise NonSquare(
                 f"matrix is {arr.shape[0]}x{arr.shape[1]} but the catalog lists {self.catalog.n} factors"
             )
-        if not np.all(np.isfinite(arr)):
-            raise NonNumericField("direct-relation matrix contains non-finite entries")
-        if np.any(arr < 0):
-            i, j = np.argwhere(arr < 0)[0]
-            raise NegativeEntry(
-                f"negative influence {arr[i, j]} at ({self.catalog.ids[i]}, {self.catalog.ids[j]})"
-            )
+        finite = np.isfinite(arr)
+        if not (np.all(finite) and not np.any(arr < 0)):
+            i, j = np.argwhere(~finite | (arr < 0))[0]
+            value, ids = float(arr[i, j]), self.catalog.ids
+            where = f"row {ids[i]!r}, column {ids[j]!r}"
+            if not finite[i, j]:
+                raise NonNumericField(f"{where}: non-finite influence {value}")
+            raise NegativeEntry(f"{where}: negative influence {value}")
         object.__setattr__(self, "entries", arr)
 
     @property

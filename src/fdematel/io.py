@@ -24,7 +24,6 @@ from .errors import (
     InvalidScale,
     MalformedDocument,
     MissingJudgment,
-    NegativeEntry,
     NonNumericField,
     NonSquare,
     SelfJudgment,
@@ -187,11 +186,6 @@ def parse_survey(data: TextSource) -> SurveyDocument:
         if not isinstance(name, str):
             raise MalformedDocument(f"factor {item['id']!r} has a non-string name")
         pairs.append((item["id"], name))
-    if len(pairs) < 2:
-        raise MalformedDocument("a survey needs at least two factors")
-    ids = [p[0] for p in pairs]
-    if len(set(ids)) != len(ids):
-        raise MalformedDocument(f"duplicate factor ids: {sorted({i for i in ids if ids.count(i) > 1})}")
     catalog = FactorCatalog.from_pairs(pairs)
 
     scale = None
@@ -206,7 +200,7 @@ def parse_survey(data: TextSource) -> SurveyDocument:
 
     n = catalog.n
     expected = n * (n - 1)
-    index = {fid: i for i, fid in enumerate(ids)}
+    index = {fid: i for i, fid in enumerate(catalog.ids)}
     # the (K, N, N) int8 tensor, filled in place; unset cells keep NO_JUDGMENT
     tensor = bytearray([_NO_JUDGMENT_BYTE]) * (len(doc["experts"]) * n * n)
     expert_ids = []
@@ -254,7 +248,7 @@ def parse_survey(data: TextSource) -> SurveyDocument:
             )
             raise MissingJudgment(
                 f"expert {expert_id!r} covers {covered} of {expected} pairs; "
-                f"first missing: ({ids[missing[0]]} -> {ids[missing[1]]})"
+                f"first missing: ({catalog.ids[missing[0]]} -> {catalog.ids[missing[1]]})"
             )
         expert_ids.append(expert_id)
 
@@ -281,11 +275,24 @@ def serialize_survey(doc: SurveyDocument) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _row_floats(label: str, fields: Sequence[str], ids: Sequence[str]) -> list:
+    """A data row's fields as floats; NonNumericField names the first that is not a number."""
+    values = []
+    try:
+        values.extend(map(float, fields))  # keeps the values converted before a failing field
+    except ValueError:
+        j = len(values)
+        raise NonNumericField(f"row {label!r}, column {ids[j]!r}: {fields[j]!r} is not a number") from None
+    return values
+
+
 def parse_crisp_matrix(data: TextSource) -> DirectRelationMatrix:
     """Parse a crisp direct-relation matrix from CSV.
 
     Grammar: header "id,<f1>,...,<fN>", then exactly N data rows
-    "<fi>,v1,...,vN" in header order; decimal point, UTF-8.
+    "<fi>,v1,...,vN" in header order; decimal point, UTF-8. Text faults
+    raise here, in row order; FactorCatalog and DirectRelationMatrix own
+    the rules on the factor list and on the values.
     """
     text = _decode(data, "matrix document")
     try:
@@ -294,37 +301,24 @@ def parse_crisp_matrix(data: TextSource) -> DirectRelationMatrix:
         raise MalformedDocument(f"matrix document is not valid CSV: {exc}") from None
     if not rows:
         raise MalformedDocument("matrix document is empty")
-    header = rows[0]
-    if not header or header[0].strip() != "id":
+    header, *data_rows = rows
+    if header[0].strip() != "id":  # csv.reader rows here are never empty
         raise MalformedDocument('matrix header must start with an "id" cell')
-    ids = [cell.strip() for cell in header[1:]]
-    if len(ids) < 2:
-        raise MalformedDocument("a direct-relation matrix needs at least two factors")
-    if len(set(ids)) != len(ids):
-        raise MalformedDocument("matrix header repeats a factor id")
-    data_rows = rows[1:]
-    if len(data_rows) != len(ids):
-        raise NonSquare(f"matrix has {len(ids)} columns but {len(data_rows)} data rows")
-    entries = np.zeros((len(ids), len(ids)))
+    catalog = FactorCatalog.from_ids(cell.strip() for cell in header[1:])
+    ids, n = catalog.ids, catalog.n
+    if len(data_rows) != n:
+        raise NonSquare(f"matrix has {n} columns but {len(data_rows)} data rows")
+    entries = np.empty((n, n))
     for i, row in enumerate(data_rows):
         label = row[0].strip()
         if label != ids[i]:
             raise MalformedDocument(
                 f"row {i + 1} is labeled {label!r} but the header order expects {ids[i]!r}"
             )
-        if len(row) - 1 != len(ids):
-            raise NonSquare(f"row {label!r} has {len(row) - 1} fields, expected {len(ids)}")
-        for j, field in enumerate(row[1:]):
-            try:
-                value = float(field)
-            except ValueError:
-                raise NonNumericField(f"row {label!r}, column {ids[j]!r}: {field!r} is not a number") from None
-            if not np.isfinite(value):
-                raise NonNumericField(f"row {label!r}, column {ids[j]!r}: {field!r} is not finite")
-            if value < 0:
-                raise NegativeEntry(f"row {label!r}, column {ids[j]!r}: negative influence {field}")
-            entries[i, j] = value
-    return DirectRelationMatrix(entries, FactorCatalog.from_ids(ids))
+        if len(row) - 1 != n:
+            raise NonSquare(f"row {label!r} has {len(row) - 1} fields, expected {n}")
+        entries[i] = _row_floats(label, row[1:], ids)
+    return DirectRelationMatrix(entries, catalog)
 
 
 @dataclass(frozen=True, eq=False)

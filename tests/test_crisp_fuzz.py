@@ -2,7 +2,8 @@
 
 Every input must either parse or raise an FdematelError; a csv.Error,
 IndexError or ValueError escaping parse_crisp_matrix is a bug. A matrix
-that parses must survive being written back as CSV unchanged.
+that parses must survive being written back as CSV unchanged. The parser
+must also agree with the per-field reference parser in crisp_oracle.
 """
 import csv
 import io
@@ -14,13 +15,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import crisp_oracle  # noqa: E402
 from fdematel import parse_crisp_matrix  # noqa: E402
-from fdematel.errors import FdematelError  # noqa: E402
+from fdematel.errors import FdematelError, NegativeEntry, NonNumericField  # noqa: E402
 
 TABLE5 = resources.files("fdematel").joinpath("data", "table5.csv").read_text(encoding="utf-8")
 IDS = ["X1", "X2", "X3"]
 
 FUZZ = settings(max_examples=120, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+DIFF = settings(FUZZ, max_examples=1000)
 
 #: Field texts near the grammar's edges: numbers in odd spellings,
 #: non-finite and negative values, quoting, padding and stray separators.
@@ -44,14 +47,19 @@ def parses_or_fails_typed(text) -> None:
     assert again.entries.tobytes() == direct.entries.tobytes()
 
 
+#: Data cells that are numbers; small_matrices draws from the first four by
+#: default, and from all of them to reach the value faults.
+NUMBERS = ["0", "1", "2.5", "10", "-1", "-0", "-1e-400", "nan", "-inf", "1e400"]
+
+
 @st.composite
-def small_matrices(draw):
-    """Three-factor CSVs: mostly well-formed rows, with a few fields, labels
-    or whole rows replaced, dropped or repeated."""
+def small_matrices(draw, cells=st.sampled_from(NUMBERS[:4])):
+    """Three-factor CSVs: mostly well-formed rows of cells, with a few
+    fields, labels or whole rows replaced, dropped or repeated."""
     header = ["id"] + IDS
     if draw(st.integers(0, 5)) == 0:
         header[draw(st.integers(0, 3))] = draw(fields)
-    rows = [header] + [[fid] + [draw(st.sampled_from(["0", "1", "2.5", "10"])) for _ in IDS] for fid in IDS]
+    rows = [header] + [[fid] + [draw(cells) for _ in IDS] for fid in IDS]
     for _ in range(draw(st.integers(0, 3))):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         action = draw(st.sampled_from(["replace", "drop", "append", "duplicate-row", "drop-row"]))
@@ -120,3 +128,58 @@ def test_arbitrary_text_parses_or_fails_typed(raw):
 def test_table5_round_trips():
     parses_or_fails_typed(TABLE5)
     assert parse_crisp_matrix(TABLE5).n == 29
+
+
+#: The reference parser's messages for the two factor-list rules, which
+#: FactorCatalog words in its own way.
+ORACLE_FACTOR_LIST = ("a direct-relation matrix needs at least two factors", "matrix header repeats a factor id")
+
+
+def outcome(parse, raw):
+    try:
+        return parse(raw)
+    except FdematelError as exc:
+        return exc
+
+
+def is_value_fault(exc) -> bool:
+    """A non-finite or negative entry, as opposed to a fault in the text."""
+    return isinstance(exc, NegativeEntry) or (
+        isinstance(exc, NonNumericField) and not str(exc).endswith("is not a number")
+    )
+
+
+def cell(exc) -> str:
+    """The "row 'a', column 'b'" that a value fault's message starts with;
+    what follows its last ": " is a float or a field that parsed as one."""
+    return str(exc).rsplit(": ", 1)[0]
+
+
+@DIFF
+@given(
+    small_matrices()
+    | small_matrices(cells=st.sampled_from(NUMBERS))
+    | table5_mutations()
+    | st.text(max_size=40)
+    | st.binary(max_size=40)
+)
+def test_parser_agrees_with_per_field_oracle(raw):
+    """The same matrix bits and ids, or: the same text fault, class and
+    message (only the class for the factor-list rules); and a value fault
+    only where the oracle raised one of the same class at the same cell.
+    The oracle raises the first fault in row-major order; the parser
+    raises text faults before value faults."""
+    new, old = outcome(parse_crisp_matrix, raw), outcome(crisp_oracle.parse_crisp_matrix, raw)
+    if not isinstance(old, FdematelError):
+        assert not isinstance(new, FdematelError), new
+        assert new.catalog.ids == old.catalog.ids
+        assert new.entries.tobytes() == old.entries.tobytes()
+        return
+    assert isinstance(new, FdematelError)
+    if str(old) in ORACLE_FACTOR_LIST:
+        assert type(new) is type(old)
+    elif not is_value_fault(old):
+        assert (type(new), str(new)) == (type(old), str(old))
+    if is_value_fault(new):
+        assert type(new) is type(old)
+        assert cell(new) == cell(old)

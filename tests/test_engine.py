@@ -20,6 +20,7 @@ from fdematel import (
 )
 from fdematel.engine import _two_sum_tree, exact_sums
 from fdematel.errors import (
+    MalformedDocument,
     NegativeEntry,
     NonNumericField,
     NonSquare,
@@ -54,9 +55,9 @@ def test_direct_matrix_validation():
         DirectRelationMatrix(np.zeros((2, 3)), FactorCatalog.from_ids(["a", "b"]))
     with pytest.raises(NonSquare):
         DirectRelationMatrix(np.zeros((3, 3)), FactorCatalog.from_ids(["a", "b"]))
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedDocument):
         FactorCatalog.from_ids(["a"])
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedDocument):
         FactorCatalog.from_ids(["a", "a"])
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from fdematel import (
     DefuzzMode,
+    DirectRelationMatrix,
+    FactorCatalog,
     LinguisticTerm,
     defuzzify_matrix,
     load_case_study,
@@ -268,6 +270,22 @@ def test_parse_crisp_matrix_errors():
         parse_crisp_matrix("id,X1\nX1,0\n")
     with pytest.raises(MalformedDocument):  # past the csv module's field size limit
         parse_crisp_matrix("id,X1,X2\nX1,0," + "1" * 200_000 + "\nX2,1,0\n")
+
+
+def test_crisp_text_faults_come_before_value_faults():
+    # text faults are raised in row order, before any value fault
+    with pytest.raises(NonNumericField, match="row 'X2', column 'X1': 'abc' is not a number"):
+        parse_crisp_matrix("id,X1,X2\nX1,0,-1\nX2,abc,0\n")
+    with pytest.raises(NonSquare, match="row 'X2' has 1 fields"):
+        parse_crisp_matrix("id,X1,X2\nX1,nan,0\nX2,1\n")
+    # value faults name the first bad cell in row-major order by factor ids
+    catalog = FactorCatalog.from_ids(["a", "b"])
+    with pytest.raises(NegativeEntry, match="row 'a', column 'b': negative influence -1.0"):
+        DirectRelationMatrix(np.array([[0, -1], [np.nan, 0]]), catalog)
+    with pytest.raises(NonNumericField, match="row 'a', column 'b': non-finite influence inf"):
+        DirectRelationMatrix(np.array([[0, np.inf], [1, 0]]), catalog)
+    with pytest.raises(NonNumericField, match="row 'X1', column 'X2': non-finite influence inf"):
+        parse_crisp_matrix("id,X1,X2\nX1,0,1e400\nX2,-1,0\n")
 
 
 

@@ -293,6 +293,16 @@ def test_cli_negative_entry_exit_code(tmp_path, capsys):
     assert "X1" in captured.err  # offending location named
 
 
+def test_cli_repeated_factor_id_exit_code(tmp_path, capsys):
+    path = tmp_path / "repeated.csv"
+    path.write_text("id,X1,X1\nX1,0,1\nX1,1,0\n")
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert code == MalformedDocument.exit_code == 40
+    assert "MalformedDocument" in captured.err
+    assert "X1" in captured.err  # the repeated id named
+
+
 def test_cli_overflowing_row_sum_exit_code(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text("id,X1,X2,X3\nX1,0,1e308,1e308\nX2,1,0,1\nX3,1,1,0\n")
