@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from ._version import __version__
@@ -81,12 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output) -> None:
-    if output is None:
-        sys.stdout.write(text)
+    with nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8") as stream:
+        stream.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+            stream.write("\n")
 
 
 def _detect_format(path: str, override) -> str:

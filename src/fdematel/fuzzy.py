@@ -119,12 +119,6 @@ class LinguisticScale:
     def terms(self) -> Tuple[LinguisticTerm, ...]:
         return tuple(t for t, _ in self.entries)
 
-    def triple_for(self, term: LinguisticTerm) -> TriangularFuzzyNumber:
-        for t, tfn in self.entries:
-            if t is term:
-                return tfn
-        raise UnknownTerm(f"term {term.value!r} is absent from this scale")
-
     def to_mapping(self) -> dict:
         return {
             "terms": [

@@ -11,7 +11,6 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -62,28 +61,62 @@ _SMALLEST_NORMAL = sys.float_info.min
 #: 1000000000000.0 (repr turns to exponents at 1e16). Below this bound
 #: the two forms agree.
 _FAST_LIMIT = 1e11
+#: A value within this relative distance of a nonzero integer, but not on
+#: it, may print as that integer with .12g and so lose the ".0" json.dumps
+#: writes; its row takes the exact form.
+_NEAR_INTEGER = 1e-11
 
 
 def _matrix_text(m: np.ndarray, indent: str) -> str:
     """JSON text of a 2-D float array at the given line indent, the same
     as json.dumps(canonical_numbers(m.tolist()), indent=2) re-indented.
 
-    A float takes one .12g format, plus ".0" when the text has neither a
-    point nor an exponent. A row holding a non-finite, subnormal or
-    |x| >= _FAST_LIMIT value takes the exact form instead, float by float.
+    A row is one `template % tuple(row)`: "%.12g" per value, or "%.1f"
+    where the value is an exact integer (-0.0 included). A row holding a
+    non-finite, subnormal, |x| >= _FAST_LIMIT or near-integer value, one
+    with 0 < |x - rint(x)| <= _NEAR_INTEGER * max(|x|, 1), takes the exact
+    form instead, float by float. The template gives the exact bytes:
+
+    - An integer x with |x| < 1e11 has an exact .12g text, so the
+      reference writes its digits plus ".0", which is "%.1f" % x; -0.0
+      gives "-0.0" both ways.
+    - A non-integer x whose .12g text has neither a point nor an exponent
+      rounds to a nonzero integer r with
+      |x - r| <= 0.5 * 10**(floor(log10|r|) - 11) <= 0.5e-11 * |r|, so x is
+      a near-integer and its row takes the exact form (x - rint(x) is exact
+      in floating point).
+    - Every other finite normal x below 1e11 has a point or an exponent in
+      its .12g text, and that text is what the reference writes.
     """
     row_indent = indent + "  "
     cell_indent = row_indent + "  "
+    sep = "," + cell_indent
     magnitude = np.abs(m)
-    exact_rows = (~(magnitude < _FAST_LIMIT) | ((magnitude < _SMALLEST_NORMAL) & (m != 0))).any(axis=1)
+    nearest = np.rint(m)
+    integral = m == nearest
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap = np.abs(m - nearest)
+    near_integer = (gap > 0) & (gap <= _NEAR_INTEGER * np.maximum(magnitude, 1.0))
+    exact_rows = (
+        ~(magnitude < _FAST_LIMIT) | ((magnitude < _SMALLEST_NORMAL) & (m != 0)) | near_integer
+    ).any(axis=1).tolist()
+    del magnitude, nearest, gap, near_integer  # N x N temporaries, not held while the rows are written
+    integer_rows = integral.any(axis=1).tolist()
+    specs = ["%.12g"] * m.shape[1]
+    plain = sep.join(specs)
     rows = []
-    for row, exact in zip(m, exact_rows.tolist()):
+    for i, row in enumerate(m):
         values = row.tolist()
-        if exact:
-            texts = [json.dumps(float(f"{x:.12g}")) for x in values]
-        else:
-            texts = [t if "." in t or "e" in t else t + ".0" for t in map(format, values, repeat(".12g"))]
-        rows.append(("," + cell_indent).join(texts))
+        if exact_rows[i]:
+            rows.append(sep.join([json.dumps(float(f"{x:.12g}")) for x in values]))
+            continue
+        template = plain
+        if integer_rows[i]:
+            row_specs = specs.copy()
+            for j in np.flatnonzero(integral[i]).tolist():
+                row_specs[j] = "%.1f"
+            template = sep.join(row_specs)
+        rows.append(template % tuple(values))
     row_sep = row_indent + "]," + row_indent + "[" + cell_indent
     return "[" + row_indent + "[" + cell_indent + row_sep.join(rows) + row_indent + "]" + indent + "]"
 

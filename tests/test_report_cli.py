@@ -504,3 +504,18 @@ def test_cli_output_flag_writes_file(tmp_path, capsys):
     assert main(["reproduce", "--output", str(out)]) == 0
     capsys.readouterr()
     assert "better diagonal treatment" in out.read_text()
+
+
+def test_cli_output_flag_writes_the_bytes_stdout_gets(tmp_path, capsysbinary):
+    csv = tmp_path / "table5.csv"
+    csv.write_text(table5_text())
+    report = tmp_path / "report.json"
+    assert main(["run", str(csv), "--output", str(report)]) == 0
+    stamp = re.compile(rb'"generated_at": "[^"]*"')
+    for argv in (["run", str(csv)], ["reproduce"], ["diagram", str(report), "--format", "svg"]):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert main(argv) == 0
+        printed = stamp.sub(b"", capsysbinary.readouterr().out)
+        written = stamp.sub(b"", out.read_bytes())
+        assert printed == written and written.endswith(b"\n") and not written.endswith(b"\n\n"), argv

@@ -45,6 +45,15 @@ def near(values, rng, shape):
     return (x.view(np.int64) + rng.integers(-3, 4, shape)).view(float)
 
 
+def near_integers(rng, shape):
+    """Integers below 1e11 times (1 ± δ), with random signs, moved by up
+    to 3 ulps either way: values around the point where .12g drops ".0"."""
+    k = np.floor(10.0 ** rng.uniform(0, 11, shape))
+    delta = rng.choice([0.0, 1e-10, 1e-11, 6e-12, 5e-12, 4.99e-12, 1e-12, 1e-13], shape)
+    x = k * (1 + rng.choice([1.0, -1.0], shape) * delta) * rng.choice([1.0, -1.0], shape)
+    return (x.view(np.int64) + rng.integers(-3, 4, shape)).view(float)
+
+
 VALUES = {
     "bits": finite_bits,
     "decades": lambda rng, shape: rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape),
@@ -53,6 +62,7 @@ VALUES = {
     * rng.choice([2.0**-1074, -(2.0**-1074)], shape),
     "zeros": lambda rng, shape: rng.choice([0.0, -0.0], shape),
     "integers": lambda rng, shape: rng.integers(-(2**53), 2**53, shape) // 10.0 ** rng.integers(0, 17, shape),
+    "near-integers": near_integers,
     "crisp": lambda rng, shape: np.round(rng.uniform(0.0, 4.0, shape), 4),
     # below 1e12, where %g already turns to exponents after rounding
     "g-band": lambda rng, shape: near([1e11, 999999999999.4, 999999999999.5, 999999999999.9999], rng, shape),
@@ -131,14 +141,22 @@ def test_writer_takes_the_exact_form_where_g_text_differs():
         float(np.nextafter(1e16, 0)),
         1e16,
         -0.0,
+        # near-integers: .12g can print them as an integer, without ".0"
+        2.9999999999996,
+        0.99999999999996,
+        12345.0000000001,
+        3.00000000001,
+        # integers moved by 1 to 3 ulps either way
+        *(np.array([[1.0], [3.0], [1e10]]).view(np.int64) + [-3, -2, -1, 1, 2, 3]).view(float).ravel().tolist(),
     ]
-    others = [0.0, 0.25, 3.0, 1e-5, 123456789012.0, math.nan, math.inf, -math.inf]
+    others = [0.0, 0.25, 3.0, -3.0, 1e10, 99999999999.0, 1e-5, 123456789012.0, math.nan, math.inf, -math.inf]
     for value in explicit + [-v for v in explicit] + others:
         m = np.array([[value, 0.1, 2.0], [1.0, 0.5, 0.0], [7.0, 8.0, 1e-300]])
         report = {"matrices": {"direct": m, "total": m.T.copy()}}
         assert render_json(report) == oracle(report), value
-    texts = [render_json(np.array([[x, 1.0]])).split()[2] for x in (1e-320, 999999999999.5, -0.0)]
-    assert texts == ["1e-320,", "1000000000000.0,", "-0.0,"]
+    special = (1e-320, 999999999999.5, -0.0, 99999999999.0, 2.9999999999996)
+    texts = [render_json(np.array([[x, 1.0]])).split()[2] for x in special]
+    assert texts == ["1e-320,", "1000000000000.0,", "-0.0,", "99999999999.0,", "3.0,"]
 
 
 def test_report_matrices_are_read_only_arrays():
