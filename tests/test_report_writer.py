@@ -46,12 +46,11 @@ def near(values, rng, shape):
 
 
 def near_integers(rng, shape):
-    """Integers below 1e11 times (1 ± δ), with random signs, moved by up
-    to 3 ulps either way: values around the point where .12g drops ".0"."""
+    """Integers below 1e11 times (1 ± δ), passed through near: values
+    around the point where .12g drops ".0"."""
     k = np.floor(10.0 ** rng.uniform(0, 11, shape))
     delta = rng.choice([0.0, 1e-10, 1e-11, 6e-12, 5e-12, 4.99e-12, 1e-12, 1e-13], shape)
-    x = k * (1 + rng.choice([1.0, -1.0], shape) * delta) * rng.choice([1.0, -1.0], shape)
-    return (x.view(np.int64) + rng.integers(-3, 4, shape)).view(float)
+    return near((k * (1 + rng.choice([1.0, -1.0], shape) * delta)).ravel(), rng, shape)
 
 
 VALUES = {
